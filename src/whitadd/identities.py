@@ -22,9 +22,11 @@ The identities covered, in the order they appear below:
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -57,7 +59,6 @@ from .summation import (
     context_for,
     exact_rational_sum,
     sum_series,
-    tail_rate_estimate,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,6 +72,13 @@ KAPPA_GUARD = 1e-3
 
 # escalation ladder for the badly cancelling pi-form series
 ESCALATION_DIGITS = (60, 120, 240)
+
+# orders per backward M block: two direct evaluations seed each block
+M_BLOCK = 16
+
+# the forward W step divides by nu+1-kappa; closer than this to zero (kappa
+# near a bound-state pole) the next order is evaluated directly instead
+W_STEP_GUARD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +284,67 @@ def _hardware_product(base, mv, wv, p_val, ell):
     return t  # a true underflow: the term is negligible
 
 
+def _seeds_usable(ctx, *seeds) -> bool:
+    """False when a hardware seed is not a normal double: a block recurred
+    from a flushed or subnormal seed would be zero or carry few bits."""
+    if ctx.kind != "hardware":
+        return True
+    return all(math.isfinite(m) and m >= sys.float_info.min
+               for m in map(ctx.mag, seeds))
+
+
+def _mu_ladder(kind: str, k, mu0, z, ctx):
+    """Yield M_{k,mu0+l}(z) (kind "M") or W_{k,mu0+l}(z) (kind "W") for
+    l = 0, 1, 2, ... from a few direct evaluations and the three-term
+    recurrences in the order stated in ``_addition_terms``.
+
+    W runs forward from its values at mu0 and mu0+1; a step whose divisor
+    nu+1-k lies within W_STEP_GUARD of zero is replaced by a direct
+    evaluation.  M is evaluated per order below l_t = ceil(sqrt|z|), then
+    backward through blocks of M_BLOCK orders, each seeded by direct
+    evaluations at its top two orders; a hardware block whose seeds are not
+    normal doubles is evaluated per order, so _hardware_product still sees
+    every underflow.  ``k``, ``mu0`` and ``z`` are values of ``ctx``.
+    """
+    half = ctx.convert(1) / 2
+    if kind == "W":
+        prev = whittaker_w((k, mu0), z, ctx=ctx)
+        yield prev
+        cur = whittaker_w((k, mu0 + 1), z, ctx=ctx)
+        ell = 1
+        while True:
+            yield cur
+            nu = mu0 + ell - half
+            if ctx.mag(nu + 1 - k) < W_STEP_GUARD:
+                nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
+            else:
+                nxt = ((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * cur
+                       + (nu + 1) * (nu + k) * prev) / (nu * (nu + 1 - k))
+            prev, cur = cur, nxt
+            ell += 1
+    ell_t = math.ceil(math.sqrt(ctx.mag(z)))
+    for ell in range(ell_t):
+        yield whittaker_m((k, mu0 + ell), z, ctx=ctx)
+    lo = ell_t
+    while True:
+        hi = lo + M_BLOCK - 1
+        block = [whittaker_m((k, mu0 + hi), z, ctx=ctx),
+                 whittaker_m((k, mu0 + hi - 1), z, ctx=ctx)]
+        if _seeds_usable(ctx, *block):
+            # block[-1] is M at order j, block[-2] at j+1; append order j-1
+            for j in range(hi - 1, lo, -1):
+                nu = mu0 + j - half
+                a = nu * ((nu + 1) ** 2 - k * k) / ((nu + 1) * (2 * nu + 3))
+                b = 2 * (2 * nu + 1) * (k - 2 * nu * (nu + 1) / z)
+                block.append((a * block[-2] - b * block[-1])
+                             / (4 * nu * (nu + 1) * (2 * nu + 1)))
+        else:
+            block += [whittaker_m((k, mu0 + j), z, ctx=ctx)
+                      for j in range(hi - 2, lo - 1, -1)]
+        yield from reversed(block)
+        lo = hi + 1
+
+
 def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
     """Term factory for the partial-wave side of the addition theorem.
 
@@ -285,6 +354,25 @@ def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
     Gamma(1-kappa) instead (the gamma=0 / gamma=pi displays).  The Legendre
     factor runs as an in-line recurrence, shortcut to (+-1)^l at the exact
     endpoint cosines.
+
+    The Whittaker factors come from ``_mu_ladder``, not from one evaluation
+    per order.  With nu = mu - 1/2 both functions obey three-term
+    recurrences in mu (contiguous relations, DLMF §13.15):
+
+        nu(nu+1-k) W_{k,mu+1}(z) = (2nu+1)(2nu(nu+1)/z - k) W_{k,mu}(z)
+                                   + (nu+1)(nu+k) W_{k,mu-1}(z)
+        nu((nu+1)^2-k^2)/((nu+1)(2nu+3)) M_{k,mu+1}(z)
+            = 2(2nu+1)(k - 2nu(nu+1)/z) M_{k,mu}(z)
+              + 4nu(nu+1)(2nu+1) M_{k,mu-1}(z)
+
+    W is the dominant solution as mu grows and is recurred forward; M is
+    minimal and is recurred backward, which is stable only past the turning
+    index l_t = ceil(sqrt|z|): below it M grows with the order, so it is
+    evaluated per order there.  This is the scheme of the Coulomb
+    l-recurrences (DLMF §33.4; Barnett's COULFG, Comput. Phys. Commun. 27
+    (1982) 147; Thompson & Barnett's COULCC, J. Comput. Phys. 64 (1986)
+    490).  A whole run of L orders costs a few direct evaluations plus O(L)
+    arithmetic instead of 2L evaluations.
     """
     endpoint = geo.cos_gamma == 1 or geo.cos_gamma == -1
 
@@ -300,8 +388,8 @@ def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
         coeff = ctx.convert(1)
         p_prev = ctx.convert(1)
         p_cur = c
-        ell = 0
-        while True:
+        pairs = zip(_mu_ladder("M", k, half, r0, ctx), _mu_ladder("W", k, half, r, ctx))
+        for ell, (mv, wv) in enumerate(pairs):
             if endpoint:
                 p_val = 1 if (geo.cos_gamma == 1 or ell % 2 == 0) else -1
             elif ell == 0:
@@ -311,15 +399,11 @@ def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
             else:
                 p_cur, p_prev = ((2 * ell - 1) * c * p_cur - (ell - 1) * p_prev) / ell, p_cur
                 p_val = p_cur
-            order = (k, ell + half)
-            mv = whittaker_m(order, r0, ctx=ctx)
-            wv = whittaker_w(order, r, ctx=ctx)
             if ctx.kind == "hardware":
                 yield _hardware_product(pref * coeff, mv, wv, p_val, ell)
             else:
                 yield pref * coeff * mv * wv * p_val
             coeff = coeff * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
-            ell += 1
     return factory
 
 
@@ -350,10 +434,7 @@ def verify_whittaker_addition(kappa, geo: GeometryConfig, lmax: int | None = Non
         rhs = _hostler_bracket(ctx.convert(kappa), x / 2, y / 2, ctx) / R
         return _report(lhs, rhs, lhs_diag=diag)
     if lmax is not None:
-        opts = SeriesOptions(rel_tol=opts.rel_tol, max_terms=lmax + 1,
-                             min_terms=min(opts.min_terms, lmax + 1),
-                             precision=opts.precision, tail_policy=opts.tail_policy,
-                             keep_terms=opts.keep_terms)
+        opts = replace(opts, max_terms=lmax + 1, min_terms=min(opts.min_terms, lmax + 1))
     factory = _addition_terms(kappa, geo, normalized=True)
     try:
         out = sum_series(factory, opts)
@@ -434,26 +515,22 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
     ctx = context_for(opts)
     if ctx.kind == "hardware":
         ctx = extended(40)
-        opts = SeriesOptions(rel_tol=opts.rel_tol, max_terms=opts.max_terms,
-                             precision=("extended", 40))
+        opts = replace(opts, precision=("extended", 40))
 
     def lhs_terms(c):
         k = c.convert(1)
         r = c.convert(geo.r)
         r0 = c.convert(geo.r0)
         cg = c.convert(geo.cos_gamma)
-        half = c.convert(1) / 2
+        mu0 = 3 * c.convert(1) / 2  # the series starts at l = 1
         coeff = c.convert(1) / 2  # (l-1)!/(2l)! at l=1
         p_prev = c.convert(1)
         p_cur = cg
-        ell = 1
-        while True:
-            order = (k, ell + half)
-            yield (coeff * whittaker_m(order, r0, ctx=c)
-                   * whittaker_w(order, r, ctx=c) * p_cur / (r * r0))
+        pairs = zip(_mu_ladder("M", k, mu0, r0, c), _mu_ladder("W", k, mu0, r, c))
+        for ell, (mv, wv) in enumerate(pairs, start=1):
+            yield coeff * mv * wv * p_cur / (r * r0)
             coeff = coeff * ell / ((2 * ell + 1) * (2 * ell + 2))
             p_cur, p_prev = ((2 * ell + 1) * cg * p_cur - ell * p_prev) / (ell + 1), p_cur
-            ell += 1
 
     out = sum_series(lhs_terms, opts)
 
@@ -480,7 +557,7 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
     # two Richardson levels: error h^2 -> h^4 -> h^6
     r1 = [(4 * diffs[i + 1] - diffs[i]) / 3 for i in range(2)]
     deriv = (16 * r1[1] - r1[0]) / 15
-    return _report(out.value, -deriv, lhs_diag=out)
+    return _report(out.value, -deriv, lhs_diag=out, precision=opts.precision)
 
 
 def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityReport:
@@ -497,12 +574,10 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
         zz = ctx.convert(z)
         half = ctx.convert(1) / 2
         coeff = ctx.convert(1) / zz
-        ell = 0
-        while True:
-            term = coeff * whittaker_m((k, ell + half), zz, ctx=ctx)
+        for ell, mv in enumerate(_mu_ladder("M", k, half, zz, ctx)):
+            term = coeff * mv
             yield -term if ell % 2 else term
             coeff = coeff * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
-            ell += 1
 
     out = sum_series(terms, opts)
     ctx = context_for(opts)
@@ -721,8 +796,7 @@ def verify_w_downward_sum(n: int, kappa, mu, r, opts: SeriesOptions | None = Non
     # forecast: convergent-branch cancellation ~ 0.434*r digits; escalate
     # when fewer than (tolerance digits + 3) would survive at hardware
     if opts.precision == "hardware" and 16 - 0.434 * float(r) < 13:
-        opts = SeriesOptions(rel_tol=opts.rel_tol, max_terms=opts.max_terms,
-                             precision=("extended", 40))
+        opts = replace(opts, precision=("extended", 40))
     ctx = context_for(opts)
 
     def terms(c):
@@ -737,15 +811,16 @@ def verify_w_downward_sum(n: int, kappa, mu, r, opts: SeriesOptions | None = Non
                  * whittaker_w((k, m + l), rr, ctx=c))
             yield -t if l % 2 else t
 
-    out = sum_series(terms, SeriesOptions(rel_tol=opts.rel_tol, max_terms=n + 2,
-                                          min_terms=1, precision=opts.precision))
+    # per order on purpose: the identity is itself a contiguous relation in
+    # mu, so a recurred W would make the check circular
+    out = sum_series(terms, replace(opts, max_terms=n + 2, min_terms=1))
     k = ctx.convert(kappa)
     m = ctx.convert(mu)
     rr = ctx.convert(r)
     half_n = ctx.convert(n) / 2
     rhs = ((-1) ** n * ctx.power(rr, -half_n)
            * whittaker_w((k - half_n, m + half_n), rr, ctx=ctx))
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, lhs_diag=out, precision=opts.precision)
 
 
 def coefficient_delta_sum(n: int, mu) -> Fraction:
@@ -759,6 +834,21 @@ def coefficient_delta_sum(n: int, mu) -> Fraction:
             raise PoleHit(f"(2mu+{l})_{n + 1} = 0 at mu={mu}")
         total += (-1) ** l * binomial(n, l) * (m2 + 2 * l) / den
     return total
+
+
+def _pi_terms(k, m, rr0, rr, pref, ctx):
+    """Unsigned pi-form terms pref (m-k+1/2)_l / ((l+2m)_l l!)
+    M_{k,l+m}(r0) W_{k,l+m}(r), l = 0, 1, 2, ...; arguments are ctx values."""
+    half = ctx.convert(1) / 2
+    coeff = ctx.convert(1)
+    pairs = zip(_mu_ladder("M", k, m, rr0, ctx), _mu_ladder("W", k, m, rr, ctx))
+    for ell, (mv, wv) in enumerate(pairs):
+        if ctx.kind == "hardware":
+            yield _hardware_product(pref * coeff, mv, wv, 1, ell)
+        else:
+            yield pref * coeff * mv * wv
+        coeff = (coeff * (m - k + half + ell) * (ell + 2 * m)
+                 / (2 * (ell + m) * (2 * ell + 2 * m + 1) * (ell + 1)))
 
 
 def pi_addition_terms(kappa, mu, r0, r, lmax: int, ctx=None) -> list:
@@ -778,19 +868,7 @@ def pi_addition_terms(kappa, mu, r0, r, lmax: int, ctx=None) -> list:
     half = ctx.convert(1) / 2
     pref = (ctx.power((rr + rr0) / (rr * rr0), m + half)
             / whittaker_w((k, m), rr + rr0, ctx=ctx))
-    coeff = ctx.convert(1)
-    values = []
-    for ell in range(lmax + 1):
-        order = (k, ell + m)
-        mv = whittaker_m(order, rr0, ctx=ctx)
-        wv = whittaker_w(order, rr, ctx=ctx)
-        if ctx.kind == "hardware":
-            values.append(_hardware_product(pref * coeff, mv, wv, 1, ell))
-        else:
-            values.append(pref * coeff * mv * wv)
-        coeff = (coeff * (m - k + half + ell) * (ell + 2 * m)
-                 / (2 * (ell + m) * (2 * ell + 2 * m + 1) * (ell + 1)))
-    return values
+    return list(itertools.islice(_pi_terms(k, m, rr0, rr, pref, ctx), lmax + 1))
 
 
 def verify_pi_addition_general(kappa, mu, r0, r,
@@ -815,34 +893,19 @@ def verify_pi_addition_general(kappa, mu, r0, r,
     opts = opts or SeriesOptions()
 
     def terms(ctx):
-        k = ctx.convert(kappa)
         m = ctx.convert(mu)
-        rr = ctx.convert(r)
         rr0 = ctx.convert(r0)
-        half = ctx.convert(1) / 2
-        pref = ctx.power(rr * rr0, -(m + half))
-        coeff = ctx.convert(1)
-        ell = 0
-        while True:
-            order = (k, ell + m)
-            mv = whittaker_m(order, rr0, ctx=ctx)
-            wv = whittaker_w(order, rr, ctx=ctx)
-            if ctx.kind == "hardware":
-                t = _hardware_product(pref * coeff, mv, wv, 1, ell)
-            else:
-                t = pref * coeff * mv * wv
+        rr = ctx.convert(r)
+        pref = ctx.power(rr * rr0, -(m + ctx.convert(1) / 2))
+        for ell, t in enumerate(_pi_terms(ctx.convert(kappa), m, rr0, rr, pref, ctx)):
             yield -t if ell % 2 else t
-            coeff = (coeff * (m - k + half + ell) * (ell + 2 * m)
-                     / (2 * (ell + m) * (2 * ell + 2 * m + 1) * (ell + 1)))
-            ell += 1
 
     needed = -math.log10(opts.rel_tol) + 2
     ladder = [opts.precision] + [("extended", d) for d in ESCALATION_DIGITS
                                  if d > 10 + needed]
     out = None
     for precision in ladder:
-        run_opts = SeriesOptions(rel_tol=opts.rel_tol, max_terms=opts.max_terms,
-                                 precision=precision, keep_terms=opts.keep_terms)
+        run_opts = replace(opts, precision=precision)
         ctx = context_for(run_opts)
         try:
             out = sum_series(terms, run_opts)
@@ -892,8 +955,7 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
         coeff = ctx.convert(1)
         g_prev = ctx.convert(1)
         g_cur = 2 * m * c
-        ell = 0
-        while True:
+        for ell, mv in enumerate(_mu_ladder("M", k, m, zz, ctx)):
             if ell == 0:
                 g_val = ctx.convert(1)
             elif ell == 1:
@@ -902,9 +964,8 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
                 g_cur, g_prev = ((2 * c * (ell + m - 1) * g_cur
                                   - (ell + 2 * m - 2) * g_prev) / ell, g_cur)
                 g_val = g_cur
-            yield pref * coeff * whittaker_m((k, ell + m), zz, ctx=ctx) * g_val
+            yield pref * coeff * mv * g_val
             coeff = coeff / ((2 * m + 2 * ell) * (2 * m + 2 * ell + 1)) * (m - k + half + ell)
-            ell += 1
 
     out = sum_series(terms, opts)
     ctx = context_for(opts)

@@ -173,6 +173,13 @@ def test_kappa_integer_limit():
         verify_kappa_integer_limit(2, GEO)
 
 
+def test_kappa_integer_limit_reports_its_precision():
+    # the limit always runs at extended precision, hardware request or not
+    assert verify_kappa_integer_limit(1, GEO).precision == ("extended", 40)
+    rep = verify_kappa_integer_limit(1, GEO, opts=SeriesOptions(rel_tol=1e-10))
+    assert rep.precision == ("extended", 40)
+
+
 # --- exponential / Bessel / Gegenbauer sums ------------------------------------
 
 def test_m_exp_sum():
@@ -249,6 +256,12 @@ def test_w_downward_sum():
     assert verify_w_downward_sum(3, 0.3, 0.8, 12.0).rel_err < 1e-11
     with pytest.raises(ParameterPole):
         verify_w_downward_sum(2, 0.3, -0.5, 2.0)
+
+
+def test_w_downward_sum_reports_its_precision():
+    # large r escalates a hardware request to 40 digits; small r stays
+    assert verify_w_downward_sum(2, 0.3, 1.0, 12.0).precision == ("extended", 40)
+    assert verify_w_downward_sum(2, 0.3, 1.0, 2.0).precision == "hardware"
 
 
 def test_coefficient_delta_sum():

@@ -1,0 +1,144 @@
+"""The order ladder behind every partial-wave series, against routes that do
+not use it: mpmath's whitm/whitw, and one direct evaluation per order."""
+
+import itertools
+import math
+
+import mpmath
+import pytest
+
+from whitadd import identities
+from whitadd.errors import NoConvergence
+from whitadd.identities import _mu_ladder, geometry_from, verify_whittaker_addition
+from whitadd.scalar import HARDWARE, extended
+from whitadd.special_core import whittaker_m, whittaker_w
+from whitadd.summation import SeriesOptions
+
+KAPPAS = (-2.5, 0.3, 3.7, complex(0.4, -0.9))
+ARGS = (0.2, 5.0, 40.0, 150.0)
+ORDERS = 60
+
+
+def _w_orders(z):
+    # mpmath's whitw costs up to 0.6 s a call at z = 150, so the recurred W
+    # is checked just past the turning index, where forward steps have lost
+    # the most, and at the top of the run
+    return (math.ceil(math.sqrt(z)) + 1, ORDERS - 1)
+
+
+@pytest.fixture(scope="module")
+def references():
+    """(kappa, z) -> ({order: M}, {order: W}) from mpmath at 60 digits."""
+    refs = {}
+    with mpmath.workdps(60):
+        half = mpmath.mpf(1) / 2
+        for kappa, z in itertools.product(KAPPAS, ARGS):
+            k = mpmath.mpmathify(kappa)
+            m = {l: mpmath.whitm(k, l + half, z) for l in range(ORDERS)}
+            w = {l: mpmath.whitw(k, l + half, z) for l in _w_orders(z)}
+            refs[kappa, z] = (m, w)
+    return refs
+
+
+def _run(kind, kappa, z, ctx):
+    half = ctx.convert(1) / 2
+    return list(itertools.islice(
+        _mu_ladder(kind, ctx.convert(kappa), half, ctx.convert(z), ctx), ORDERS))
+
+
+def _gap(value, ref) -> float:
+    with mpmath.workdps(60):
+        return float(abs(mpmath.mpmathify(value) - ref) / abs(ref))
+
+
+def _per_order(kind, k, mu0, z, ctx):
+    """Drop-in for _mu_ladder that evaluates every order directly."""
+    fn = whittaker_m if kind == "M" else whittaker_w
+    for ell in itertools.count():
+        yield fn((k, mu0 + ell), z, ctx=ctx)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_ladder_extended_accuracy(kappa, references):
+    ctx = extended(50)
+    for z in ARGS:
+        m_ref, w_ref = references[kappa, z]
+        ms, ws = _run("M", kappa, z, ctx), _run("W", kappa, z, ctx)
+        m_gap = max(_gap(ms[l], ref) for l, ref in m_ref.items())
+        w_gap = max(_gap(ws[l], ref) for l, ref in w_ref.items())
+        assert m_gap < 1e-49, f"M kappa={kappa} z={z}: {m_gap:.2e}"
+        # the direct W seeds themselves lose digits at large z (W below
+        # 1e-38 at z = 150 is not guaranteed even per order)
+        w_tol = 1e-45 if z <= 40 else 1e-42
+        assert w_gap < w_tol, f"W kappa={kappa} z={z}: {w_gap:.2e}"
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_ladder_hardware_no_worse_than_per_order(kappa):
+    # the reference is the 50-digit run, held to mpmath by the test above.  A
+    # run is as good as its seeds: a seed off by 1e-10 (ROADMAP item 2)
+    # carries into every recurred order, so runs are compared worst to worst
+    ctx = extended(50)
+    for z in ARGS:
+        for kind, fn in (("M", whittaker_m), ("W", whittaker_w)):
+            refs = _run(kind, kappa, z, ctx)
+            run = _run(kind, kappa, z, HARDWARE)
+            ladder = max(_gap(run[l], ref) for l, ref in enumerate(refs))
+            direct = max(_gap(fn((kappa, l + 0.5), z), ref) for l, ref in enumerate(refs))
+            assert ladder <= 10 * direct + 1e-13, (
+                f"{kind} kappa={kappa} z={z}: ladder {ladder:.2e}, per order {direct:.2e}")
+
+
+@pytest.mark.parametrize("kappa", [1 + 1.1e-3, 2 - 1.1e-3, 2 + 1.1e-3, 3 + 1e-7])
+def test_w_ladder_steps_over_the_pole(kappa):
+    # the forward W step divides by nu+1-kappa; stepping through it would
+    # lose log10(1/|kappa-n|) digits from order n+1/2 on
+    ctx = extended(50)
+    ws = _run("W", kappa, 3.0, ctx)
+    with mpmath.workdps(60):
+        for l in range(8):
+            ref = mpmath.whitw(kappa, l + mpmath.mpf(1) / 2, 3)
+            assert _gap(ws[l], ref) < 1e-49, f"l={l}"
+
+
+def _residual(rep) -> float:
+    with mpmath.workdps(60):
+        return float(abs(mpmath.mpmathify(rep.lhs) - rep.rhs) / abs(rep.rhs))
+
+
+@pytest.mark.parametrize("n, precision", [(1, "hardware"), (2, "hardware"), (3, "hardware"),
+                                          (2, ("extended", 30))])
+def test_addition_near_pole_no_worse_than_per_order(n, precision, monkeypatch):
+    geo = geometry_from(3.0, 1.4, 0.6)
+    opts = SeriesOptions(precision=precision,
+                         rel_tol=1e-12 if precision == "hardware" else 1e-29)
+    floor = 1e-15 if precision == "hardware" else 1e-29
+    for kappa in (n - 1.1e-3, n + 1.1e-3):
+        ladder = _residual(verify_whittaker_addition(kappa, geo, opts=opts))
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_mu_ladder", _per_order)
+            direct = _residual(verify_whittaker_addition(kappa, geo, opts=opts))
+        assert ladder <= 10 * max(direct, floor), (
+            f"kappa={kappa}: ladder {ladder:.2e}, per order {direct:.2e}")
+
+
+def test_hardware_m_block_with_underflowing_seeds_falls_back_per_order():
+    # M ~ z^(l+1): at z = 1e-3 the seeds of the block ending at order 112
+    # flush to zero while its lowest orders are still normal doubles; a block
+    # recurred from those seeds would be zeros
+    run = list(itertools.islice(_mu_ladder("M", 0.3, 0.5, 1e-3, HARDWARE), 130))
+    normal = 0
+    for l, value in enumerate(run):
+        direct = whittaker_m((0.3, l + 0.5), 1e-3)
+        if abs(direct) >= 2.2250738585072014e-308:
+            normal += 1
+            assert abs(value - direct) <= 1e-13 * abs(direct), f"l={l}"
+    assert 100 < normal < 130
+
+
+@pytest.mark.parametrize("r0, r", [(2.0, 2.1), (0.05, 0.055)])
+def test_overflowing_w_ladder_is_no_convergence(r0, r):
+    # nearly equal radii: the forward W run leaves the double range before
+    # the (r0/r)^l decay meets tolerance; the sum must refuse, not truncate
+    with pytest.raises(NoConvergence):
+        verify_whittaker_addition(0.3, geometry_from(r, r0, 1.0))

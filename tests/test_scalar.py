@@ -1,6 +1,7 @@
 """Precision contexts: conversion, branch choices, escalation."""
 
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -95,6 +96,19 @@ def test_extended_contexts_are_independent():
     # each context owns its precision; creating b must not widen a
     assert a._mp.dps == 30 and b._mp.dps == 50
     assert abs(float(a.pi) - math.pi) < 1e-15
+
+
+def test_extended_contexts_are_memoized_per_thread():
+    # one clone per (thread, digits): reused within a thread, never shared
+    # across threads, whose mpmath calls would race on its precision
+    assert extended(45) is extended(45)
+    assert extended(45) is not extended(46)
+    other = []
+    worker = threading.Thread(target=lambda: other.append(extended(45)))
+    worker.start()
+    worker.join()
+    assert other[0] is not extended(45)
+    assert other[0].digits == 45
 
 
 def test_extended_extra_digits_scopes_precision():
