@@ -34,6 +34,7 @@ of pi (``pi/3``, ``2pi/3``, ``-0.5pi``).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import itertools
 import json
@@ -43,12 +44,15 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import WhitaddError
-from .golden import GOLDEN_DIGITS, GROUPS, build_group, entry_map, load_golden, write_golden
+from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
 from .green import (CoulombParams, SphericalPoint, density_polynomial,
                     diagonal_density, gauss_laguerre_integral, hostler_green,
                     partial_wave_green, projection_kernel, radial_distribution,
@@ -62,7 +66,7 @@ from .identities import (coefficient_delta_sum, geometry_from,
                          verify_m_exp_sum, verify_m_gegenbauer_sum,
                          verify_pi_addition_general, verify_spherical_addition,
                          verify_w_downward_sum, verify_whittaker_addition,
-                         ExactReport, IdentityReport)
+                         ExactReport)
 from .scalar import extended
 from .special_core import (bessel_modified, gegenbauer_c, kummer_m, kummer_u,
                            laguerre, legendre_p, spherical_harmonic,
@@ -222,34 +226,28 @@ def _dump_json(payload: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def resolve_digits(flag_digits) -> int | None:
-    """--digits flag, else WHITADD_DIGITS, else None (hardware)."""
-    if flag_digits is not None:
-        return flag_digits
+    """--digits flag, else WHITADD_DIGITS, else None (hardware); >= 30."""
+    digits = flag_digits
     raw = os.environ.get(ENV_DIGITS, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_DIGITS}={raw!r} is not an integer") from None
+    if digits is None and raw:
+        try:
+            digits = int(raw)
+        except ValueError:
+            raise UsageError(f"{ENV_DIGITS}={raw!r} is not an integer") from None
+    if digits is not None and digits < 30:
+        raise UsageError("extended precision needs --digits >= 30")
+    return digits
 
 
 def context_from(digits: int | None):
-    if digits is None:
-        return None
-    if digits < 30:
-        raise UsageError("extended precision needs --digits >= 30")
-    return extended(digits)
+    return None if digits is None else extended(digits)
 
 
-def options_from(args, default_rel_tol: float = 1e-12) -> SeriesOptions:
-    digits = resolve_digits(getattr(args, "digits", None))
-    precision = "hardware" if digits is None else ("extended", digits)
-    if digits is not None and digits < 30:
-        raise UsageError("extended precision needs --digits >= 30")
-    return SeriesOptions(rel_tol=getattr(args, "rel_tol", None) or default_rel_tol,
-                         max_terms=getattr(args, "max_terms", None) or DEFAULT_MAX_TERMS,
-                         precision=precision)
+def options_from(args, digits: int | None) -> SeriesOptions:
+    """Series options from the flags, at digits already resolved."""
+    return SeriesOptions(rel_tol=args.rel_tol or 1e-12,
+                         max_terms=args.max_terms or DEFAULT_MAX_TERMS,
+                         precision="hardware" if digits is None else ("extended", digits))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def cmd_eval(args) -> int:
     fn = EVAL_FUNCTIONS[args.function]
     digits = resolve_digits(args.digits)
     ctx = context_from(digits)
-    opts = options_from(args)
+    opts = options_from(args, digits)
     a = {name: getattr(args, name) for name in _EVAL_PARAM_FLAGS}
     value, diag = fn(a, ctx, opts)
 
@@ -571,26 +569,21 @@ def _row_from(index: int, pt: dict, rep, threshold) -> Row:
 
 
 def run_sweep(entry: IdentityEntry, grid: dict, opts: SeriesOptions,
-              threshold, jobs: int) -> list:
-    combos = list(itertools.product(*(grid[name] for name in entry.params)))
-
-    def one(i: int) -> Row:
-        pt = dict(zip(entry.params, combos[i]))
+              threshold) -> list:
+    """One Row per grid point, in grid order."""
+    rows = []
+    combos = itertools.product(*(grid[name] for name in entry.params))
+    for i, combo in enumerate(combos):
+        pt = dict(zip(entry.params, combo))
         start = time.perf_counter()
         try:
-            rep = entry.run(pt, opts)
-            row = _row_from(i, pt, rep, threshold)
+            row = _row_from(i, pt, entry.run(pt, opts), threshold)
         except (WhitaddError, OverflowError, ZeroDivisionError) as exc:
             row = Row(index=i, params=pt,
                       error=f"{type(exc).__name__}: {exc}")
         row.seconds = time.perf_counter() - start
-        return row
-
-    if jobs <= 1 or len(combos) <= 1:
-        return [one(i) for i in range(len(combos))]
-    # map() keeps result order aligned with the grid index
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, range(len(combos))))
+        rows.append(row)
+    return rows
 
 
 def _print_rows(name: str, entry: IdentityEntry, rows: list, threshold) -> None:
@@ -698,9 +691,9 @@ def cmd_verify(args) -> int:
                          "run `whitadd verify --list`")
     entry = IDENTITIES[args.identity]
     grid = _parse_grid_flags(entry, args.grid)
-    opts = options_from(args)
+    opts = options_from(args, resolve_digits(args.digits))
     threshold = args.threshold if args.threshold is not None else entry.threshold
-    rows = run_sweep(entry, grid, opts, threshold, args.jobs)
+    rows = run_sweep(entry, grid, opts, threshold)
 
     if args.json:
         _dump_json(_rows_json(args.identity, entry, rows, threshold, opts),
@@ -721,8 +714,13 @@ def cmd_verify(args) -> int:
 # presets
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _stress_summary(rel_tol: float = 1e-8):
-    """Large-order stress case: normalized head terms, final sum, precision."""
+    """Large-order stress case: normalized head terms, final sum, precision.
+
+    Cached, and read-only since every caller shares it: the four stress rows
+    of the acceptance table cost one 60-digit summation.
+    """
     ctx = extended(STRESS_DIGITS)
     # terms come out normalized: sum (-1)^l t_l = 1
     terms = pi_addition_terms(STRESS_KAPPA, STRESS_MU, STRESS_R0, STRESS_R,
@@ -737,12 +735,13 @@ def _stress_summary(rel_tol: float = 1e-8):
     while float(mu_large_term_surrogate(STRESS_KAPPA, STRESS_MU, STRESS_R0,
                                         STRESS_R, ell)) >= SURROGATE_CUTOFF:
         ell += 1
-    return {"t0": t0, "t145": t145, "normalized_sum": total,
-            "rel_err": rep.rel_err, "n_terms": rep.lhs_diag.n_terms,
-            "digits_lost": round(rep.lhs_diag.digits_lost(), 2),
-            "precision": list(rep.precision) if rep.precision else
-            ["extended", STRESS_DIGITS],
-            "surrogate_drop_l": ell}
+    return MappingProxyType({
+        "t0": t0, "t145": t145, "normalized_sum": total,
+        "rel_err": rep.rel_err, "n_terms": rep.lhs_diag.n_terms,
+        "digits_lost": round(rep.lhs_diag.digits_lost(), 2),
+        "precision": tuple(rep.precision) if rep.precision else
+        ("extended", STRESS_DIGITS),
+        "surrogate_drop_l": ell})
 
 
 def _preset_remark53(args) -> int:
@@ -768,117 +767,167 @@ def _preset_remark53(args) -> int:
     return 0
 
 
-def _sig6(x: float) -> float:
-    return float(f"{x:.6g}")
+# ---------------------------------------------------------------------------
+# acceptance criteria: one table, run by ``verify --preset acceptance`` and
+# by tests/test_acceptance.py
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance check; ``check(bound)`` returns ``(passed, detail)``.
+
+    ``bound`` is the tolerance or paper constant the check holds to (None for
+    an exact check).  It is written only here, and the tests pin it.
+    """
+
+    name: str
+    label: str
+    check: object
+    bound: object
 
 
-# full acceptance sweep: (identity, grid overrides, threshold overrides)
-_ACCEPTANCE_SWEEPS = (
-    ("whittaker_addition", None, None),
-    ("w_downward_sum", None, None),
-    ("delta_sum", None, None),
-    ("laguerre_symmetric", None, None),
-    ("lemma_binomial", None, None),
-    ("m_gegenbauer_sum", None, None),
+def _rel(value, reference) -> float:
+    return abs(complex(value) - complex(reference)) / abs(complex(reference))
+
+
+def _worst(errs) -> str:
+    return f"worst rel={max(errs, key=lambda e: math.inf if math.isnan(e) else e):.2e}"
+
+
+def _within(errs, bound) -> tuple:
+    """Pass only if every err <= bound holds, so a NaN residual fails."""
+    errs = list(errs)
+    return all(e <= bound for e in errs), _worst(errs)
+
+
+def _sweep_row(name: str, identity: str, label: str | None = None,
+               **grid) -> Criterion:
+    """Every point of IDENTITIES[identity] passes its threshold; ``grid``
+    overrides some of the default grid values."""
+    entry = IDENTITIES[identity]
+
+    def check(bound):
+        rows = run_sweep(entry, {**entry.grid, **grid}, SeriesOptions(), bound)
+        bad = sum(not r.passed for r in rows)
+        errs = [r.rel_err for r in rows if r.rel_err is not None]
+        detail = (f"{len(rows) - bad}/{len(rows)} "
+                  + ("exact" if bound is None else f"rel<={bound:g}"))
+        return bad == 0, detail + (f" {_worst(errs)}" if errs else "")
+
+    return Criterion(name, label or identity, check, entry.threshold)
+
+
+def _stress(key: str, holds):
+    """Check: ``holds(value, bound)`` for one entry of the stress summary."""
+    def check(bound):
+        got = _stress_summary()[key]
+        return holds(got, bound), f"got {got!r}, bound {bound:g}"
+    return check
+
+
+def _six_figures(got: float, want: float) -> bool:
+    return float(f"{got:.6g}") == want
+
+
+def _laguerre_addition_exact(bound):
+    geo = geometry_from_cosine(Fraction(3, 2), Fraction(1, 2), Fraction(1))
+    reps = {n: verify_laguerre_addition(n, geo) for n in range(1, 13)}
+    bad = [n for n, rep in reps.items()
+           if not (isinstance(rep, ExactReport) and rep.exact)]
+    return not bad, f"inexact at n={bad}" if bad else "exact for n<=12"
+
+
+def _green_cross_method(bound):
+    pts = [SphericalPoint(3.0, 0.4, 0.0), SphericalPoint(1.2, 2.2, 5.1),
+           SphericalPoint(0.6, 1.57, 3.0)]
+    errs = []
+    for g in (0.5, 1.0, 2.3):
+        for k in (0.4, 0.9, 1.7):
+            cp = CoulombParams(g, k)
+            # positive-integer kappa sits on a bound-state pole of both routes
+            if abs(cp.kappa - round(cp.kappa)) < 1e-3 and round(cp.kappa) >= 1:
+                continue
+            for i, pa in enumerate(pts):
+                pb = pts[(i + 1) % 3]
+                errs.append(_rel(partial_wave_green(cp, pa, pb).value,
+                                 hostler_green(cp, pa, pb)))
+    return _within(errs, bound)
+
+
+def _density_integrals(bound):
+    errs = []
+    for n in range(1, 7):
+        errs.append(_rel(radial_norm(n, 1.9), n * n))
+        v = gauss_laguerre_integral(
+            lambda t, n=n: np.array([ti * ti * density_polynomial(n, ti)
+                                     for ti in t]))
+        errs.append(_rel(v, 2 * n ** 3))
+    return _within(errs, bound)
+
+
+def _antipodal_exponential(bound):
+    # at gamma = pi the confluent factor sits at 0, leaving a bare e^{-z/2}
+    entry = IDENTITIES["m_gegenbauer_sum"]
+    rows = run_sweep(entry, {**entry.grid, "gamma": [math.pi]}, SeriesOptions(),
+                     entry.threshold)
+    return _within((math.inf if r.error else
+                    _rel(r.rhs, cmath.exp(-r.params["z"] / 2)) for r in rows),
+                   bound)
+
+
+ACCEPTANCE = (
+    _sweep_row("criterion1_addition_grid", "whittaker_addition"),
+    Criterion("criterion2_stress_t0", "stress |t_0| (6 s.f.)",
+              _stress("t0", _six_figures), 1.07239e7),
+    Criterion("criterion2_stress_t145_constant",
+              "stress |t_145| (6 s.f.; the source's 3214.65 is an erratum)",
+              _stress("t145", _six_figures), STRESS_T145),
+    Criterion("criterion2_stress_normalized_sum", "stress normalized sum = 1",
+              _stress("normalized_sum", lambda got, b: abs(got - 1.0) <= b), 1e-6),
+    Criterion("criterion2_stress_surrogate_drop",
+              f"stress surrogate first below {SURROGATE_CUTOFF} at l",
+              _stress("surrogate_drop_l", lambda got, b: got == b), 168),
+    _sweep_row("criterion3_downward_sum_grid", "w_downward_sum",
+               n=list(range(0, 11))),
+    _sweep_row("criterion3_delta_sum", "delta_sum"),
+    Criterion("criterion4_laguerre_addition",
+              "laguerre_addition on a rational collinear chord",
+              _laguerre_addition_exact, None),
+    _sweep_row("criterion4_laguerre_symmetric_pi", "laguerre_symmetric",
+               "laguerre_symmetric pi-variant at complex u,v",
+               n=[8], u=[0.7 + 0.2j], v=[1.1 - 0.4j], variant=["pi"]),
+    _sweep_row("criterion4_laguerre_symmetric_interior", "laguerre_symmetric"),
+    _sweep_row("criterion5_lemma_exact", "lemma_binomial"),
+    Criterion("criterion6_green_cross_method", "green cross-method grid",
+              _green_cross_method, 1e-7),
+    Criterion("criterion7_density_integrals",
+              "radial norms n^2 and density integrals 2n^3 (n <= 6)",
+              _density_integrals, 1e-8),
+    _sweep_row("criterion8_m_gegenbauer_grid", "m_gegenbauer_sum"),
+    Criterion("criterion8_antipodal_exponential",
+              "m_gegenbauer_sum at gamma=pi: rhs = e^{-z/2}",
+              _antipodal_exponential, 1e-12),
+    # half-unit order reduces the weight to Legendre polynomials
+    _sweep_row("criterion8_half_order", "m_gegenbauer_sum",
+               "m_gegenbauer_sum at mu=1/2",
+               kappa=[1.1], mu=[0.5], z=[1.5], gamma=[math.pi / 3]),
 )
 
 
 def _preset_acceptance(args) -> int:
-    opts_hw = SeriesOptions()
     failures = 0
     t_start = time.perf_counter()
-
-    for name, grid_over, thr_over in _ACCEPTANCE_SWEEPS:
-        entry = IDENTITIES[name]
-        grid = grid_over or entry.grid
-        threshold = thr_over if thr_over is not None else entry.threshold
-        rows = run_sweep(entry, grid, opts_hw, threshold, args.jobs)
-        bad = sum(not r.passed for r in rows)
-        failures += bad
-        worst = max((r.rel_err for r in rows if r.rel_err is not None),
-                    default=0.0)
-        bound = "exact" if threshold is None else f"rel<={threshold:g}"
-        flag = "ok" if bad == 0 else f"FAIL({bad})"
-        print(f"[{flag:>8}] {name}: {len(rows) - bad}/{len(rows)} {bound}"
-              + (f" worst={worst:.2e}" if worst else ""))
-
-    # exact rational Laguerre addition on a collinear exact chord
-    ok = True
-    for n in range(1, 13):
-        geo = geometry_from_cosine(Fraction(3, 2), Fraction(1, 2), Fraction(1))
-        rep = verify_laguerre_addition(n, geo)
-        if not (isinstance(rep, ExactReport) and rep.exact):
-            ok = False
-    failures += 0 if ok else 1
-    print(f"[{'ok' if ok else 'FAIL':>8}] laguerre_addition exact n<=12 "
-          "(rational collinear chord)")
-
-    # alternating two-variable sum at a complex argument pair
-    rep = verify_laguerre_symmetric(8, 0.7 + 0.2j, 1.1 - 0.4j, variant="pi")
-    ok = rep.ok(1e-11)
-    failures += 0 if ok else 1
-    print(f"[{'ok' if ok else 'FAIL':>8}] laguerre_symmetric pi-variant at "
-          f"complex u,v rel={rep.rel_err:.2e}")
-
-    # large-order stress block
-    info = _stress_summary()
-    checks = [
-        ("stress |t_0| ~ 1.07239e7 (6 s.f.)", _sig6(info["t0"]) == 1.07239e7,
-         f"got {info['t0']:.6g}"),
-        (f"stress |t_145| ~ {STRESS_T145:g} (6 s.f.)",
-         _sig6(info["t145"]) == STRESS_T145, f"got {info['t145']:.6g}"),
-        ("stress normalized sum = 1 (rel 1e-6)",
-         abs(info["normalized_sum"] - 1.0) < 1e-6,
-         f"got {info['normalized_sum']!r}"),
-        ("stress surrogate drops below 0.1 at l = 168",
-         info["surrogate_drop_l"] == 168, f"got l={info['surrogate_drop_l']}"),
-    ]
-    for label, good, detail in checks:
-        failures += 0 if good else 1
-        print(f"[{'ok' if good else 'FAIL':>8}] {label}" +
-              ("" if good else f" -- {detail}"))
-
-    # Green function cross-method grid
-    worst = 0.0
-    pts = [(3.0, 0.4, 0.0), (1.2, 2.2, 5.1), (0.6, 1.57, 3.0)]
-    for gg in (0.5, 1.0, 2.3):
-        for kk in (0.4, 0.9, 1.7):
-            cp = CoulombParams(gg, kk)
-            if abs(cp.kappa - round(cp.kappa)) < 1e-3 and round(cp.kappa) >= 1:
-                continue
-            for i, a in enumerate(pts):
-                pa = SphericalPoint(*a)
-                pb = SphericalPoint(*pts[(i + 1) % 3])
-                hv = hostler_green(cp, pa, pb)
-                pw = partial_wave_green(cp, pa, pb)
-                worst = max(worst, abs(pw.value - hv) / abs(hv))
-    ok = worst < 1e-7
-    failures += 0 if ok else 1
-    print(f"[{'ok' if ok else 'FAIL':>8}] green cross-method grid "
-          f"worst rel={worst:.2e}")
-
-    # density and norm integrals
-    import numpy as _np
-    ok = True
-    for n in range(1, 7):
-        if abs(radial_norm(n, 1.9) - n * n) > 1e-8 * n * n:
-            ok = False
-    for n in range(2, 7):
-        v = gauss_laguerre_integral(
-            lambda t, n=n: _np.array([ti * ti * density_polynomial(n, ti)
-                                      for ti in t]))
-        if abs(v - 2 * n ** 3) > 1e-8 * n ** 3:
-            ok = False
-    failures += 0 if ok else 1
-    print(f"[{'ok' if ok else 'FAIL':>8}] radial norms n^2 and density "
-          "integrals 2n^3 (n <= 6)")
+    for row in ACCEPTANCE:
+        passed, detail = row.check(row.bound)
+        failures += not passed
+        print(f"[{'ok' if passed else 'FAIL':>8}] {row.label}: {detail}")
 
     # frozen reference files, when present
     golden_dir = args.golden_dir
     if golden_dir is None and os.path.isdir(os.path.join("tests", "golden")):
         golden_dir = os.path.join("tests", "golden")
     if golden_dir:
-        bad = _golden_compare(golden_dir)
+        bad = compare_golden(golden_dir)
         failures += bad
         print(f"[{'ok' if bad == 0 else f'FAIL({bad})':>8}] golden files "
               f"reproduce under regeneration ({golden_dir})")
@@ -891,46 +940,6 @@ def _preset_acceptance(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _golden_compare(dirpath: str) -> int:
-    """Regenerate each golden group in memory and diff against the files."""
-    bad = 0
-    stored_groups = load_golden(dirpath)
-    for group in GROUPS:
-        if group not in stored_groups:
-            logger.warning("golden group %s missing from %s", group, dirpath)
-            bad += 1
-            continue
-        stored = entry_map(stored_groups[group])
-        for key, entry in entry_map(build_group(group)).items():
-            if key not in stored:
-                logger.warning("golden entry %s missing from %s", key, dirpath)
-                bad += 1
-                continue
-            old = stored[key]
-            digits = min(int(old.get("digits", GOLDEN_DIGITS)),
-                         int(entry.get("digits", GOLDEN_DIGITS)))
-            for side in ("lhs", "rhs"):
-                if not _values_close(old[side], entry[side], digits):
-                    logger.warning("golden entry %s %s drifted", key, side)
-                    bad += 1
-    return bad
-
-
-def _values_close(a: dict, b: dict, digits: int) -> bool:
-    # same slack the generation guard enforces between independent routes
-    if "fraction" in a or "fraction" in b:
-        return a == b
-    if digits == 0:
-        return a == b
-    import mpmath
-    from .golden import GUARD_SLACK
-    with mpmath.workdps(digits + 10):
-        av = mpmath.mpc(mpmath.mpf(a["re"]), mpmath.mpf(a["im"]))
-        bv = mpmath.mpc(mpmath.mpf(b["re"]), mpmath.mpf(b["im"]))
-        scale = max(abs(av), abs(bv), mpmath.mpf(10) ** (-digits))
-        return abs(av - bv) / scale <= mpmath.mpf(10) ** (GUARD_SLACK - digits)
-
-
 # ---------------------------------------------------------------------------
 # green subcommand
 # ---------------------------------------------------------------------------
@@ -940,7 +949,7 @@ def cmd_green(args) -> int:
     p, p0 = args.p, args.p0
     digits = resolve_digits(args.digits)
     ctx = context_from(digits)
-    opts = options_from(args)
+    opts = options_from(args, digits)
 
     hv = hostler_green(params, p, p0, ctx=ctx)
     pw = partial_wave_green(params, p, p0, opts=opts)
@@ -984,7 +993,7 @@ def cmd_golden(args) -> int:
                 raise UsageError(f"unknown golden group {g!r}; "
                                  f"expected one of {GROUPS}")
     if args.check:
-        bad = _golden_compare(args.check)
+        bad = compare_golden(args.check, only)
         if bad:
             print(f"{bad} golden entr{'y' if bad == 1 else 'ies'} drifted",
                   file=sys.stderr)
@@ -1047,8 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="series truncation tolerance")
     pv.add_argument("--max-terms", type=int, default=None, dest="max_terms")
     pv.add_argument("--digits", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
-                    help="grid points evaluated concurrently")
     pv.add_argument("--preset", choices=("acceptance", "remark53"),
                     default=None)
     pv.add_argument("--golden-dir", default=None, dest="golden_dir",
@@ -1073,8 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                     help="fail (exit 1) if the residual exceeds this")
     pg.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    pg.add_argument("--compare", action="store_true",
-                    help="accepted for symmetry; comparison always runs")
     pg.add_argument("--json", nargs="?", const="-", default=None,
                     metavar="PATH")
     pg.set_defaults(func=cmd_green)

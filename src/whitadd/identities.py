@@ -40,11 +40,10 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedOrder,
 )
-from .scalar import HARDWARE, extended, is_nonpositive_integer, resolve
+from .scalar import extended, is_nonpositive_integer, resolve
 from .special_core import (
     bessel_modified,
     binomial,
-    gegenbauer_c,
     kummer_m,
     laguerre,
     legendre_p,

@@ -161,9 +161,6 @@ class HardwareContext:
         # request headroom without branching on the context kind
         yield self
 
-    def escalate(self, digits: int) -> "ExtendedContext":
-        return ExtendedContext(max(digits, 30))
-
 
 class ExtendedContext:
     """Arbitrary-precision scalars (mpmath mpf / mpc) at fixed decimal digits."""
@@ -237,12 +234,6 @@ class ExtendedContext:
     def extra_digits(self, n: int):
         with self._mp.extradps(int(max(0, n))):
             yield self
-
-    def escalate(self, digits: int) -> "ExtendedContext":
-        return ExtendedContext(max(digits, self.digits))
-
-    def nstr(self, x, digits: int | None = None) -> str:
-        return self._mp.nstr(self.convert(x), digits or self.digits, strip_zeros=False)
 
 
 HARDWARE = HardwareContext()

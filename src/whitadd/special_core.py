@@ -320,11 +320,6 @@ def kummer_m(a, b, z, ctx=None):
     return _hyp1f1_series(a, b, z, ctx)
 
 
-def _kummer_m_deriv(a, b, z, ctx):
-    """d/dz 1F1(a;b;z) = (a/b) 1F1(a+1; b+1; z)."""
-    return (a / b) * kummer_m(a + 1, b + 1, z, ctx)
-
-
 def _hyp_u_asymptotic(a, b, z, ctx, max_terms=MAX_TERMS):
     """Optimally truncated z -> inf expansion of U [AS 13.5.1].
 
@@ -495,11 +490,6 @@ def kummer_u(a, b, z, ctx=None):
     with ctx.extra_digits(guard) as gctx:
         return ctx.convert(_hyp_u_reflection(
             gctx.convert(a), gctx.convert(b), gctx.convert(z), gctx))
-
-
-def _kummer_u_deriv(a, b, z, ctx):
-    """d/dz U(a,b,z) = -a U(a+1, b+1, z) [AS 13.4.21]."""
-    return -a * kummer_u(a + 1, b + 1, z, ctx)
 
 
 # ---------------------------------------------------------------------------

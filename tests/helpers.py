@@ -1,6 +1,5 @@
 """Shared helpers for the test suite."""
 
-import math
 from pathlib import Path
 
 from whitadd.golden import decode, entry_map, load_golden

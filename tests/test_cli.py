@@ -5,7 +5,6 @@ import io
 import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -166,9 +165,9 @@ def test_verify_failure_exit_code(capsys):
     assert err.strip()  # failure count lands on stderr
 
 
-def test_verify_parallel_rows_keep_order(capsys):
+def test_verify_rows_keep_grid_order(capsys):
     rc, out, _ = run(["verify", "delta_sum", "--grid", "n=0,1,2,3,4,5",
-                      "--jobs", "2", "--json", "-"], capsys)
+                      "--json", "-"], capsys)
     assert rc == 0
     payload = json.loads(out)
     assert [r["index"] for r in payload["rows"]] == list(range(6))
@@ -231,6 +230,24 @@ def test_golden_write_reproduces_committed_file(tmp_path, capsys):
     got = (tmp_path / "special_core.json").read_text()
     want = (GOLDEN_DIR / "special_core.json").read_text()
     assert got == want
+
+
+def test_golden_check_only_one_group(tmp_path, capsys):
+    rc, out, _ = run(["golden", "--check", str(GOLDEN_DIR), "--only",
+                      "special_core"], capsys)
+    assert rc == 0 and "reproduce" in out
+    # a copy holding only the checked group: the absent groups are not
+    # compared, and one perturbed digit in the checked group is caught
+    text = (GOLDEN_DIR / "special_core.json").read_text()
+    (tmp_path / "special_core.json").write_text(text)
+    argv = ["golden", "--check", str(tmp_path), "--only", "special_core"]
+    assert run(argv, capsys)[0] == 0
+    payload = json.loads(text)
+    value = payload["entries"][0]["lhs"]
+    value["re"] = value["re"][:4] + str((int(value["re"][4]) + 1) % 10) + value["re"][5:]
+    (tmp_path / "special_core.json").write_text(json.dumps(payload))
+    rc, _, err = run(argv, capsys)
+    assert rc == 1 and "drifted" in err
 
 
 def test_golden_unknown_group(capsys):

@@ -85,7 +85,7 @@ def test_separation_and_angle():
     assert separation(P, q) < 1e-7
     north = SphericalPoint(1.0, 0.0, 0.0)
     south = SphericalPoint(2.0, math.pi, 0.0)
-    assert separation(north, south) == pytest.approx(3.0)
+    assert separation(north, south) == pytest.approx(3.0, abs=1e-14)
 
 
 # --- eigenfunctions -------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_separation_and_angle():
 def test_hydrogen_ground_state():
     pt = SphericalPoint(1.3, 0.9, 2.1)
     psi = hydrogen_eigenfunction(QuantumNumbers(1, 0, 0), 2.0, pt)
-    assert_rel(psi, 2.0 * math.exp(-1.3) / math.sqrt(4 * math.pi), 1e-14)
+    assert abs(psi - 2.0 * math.exp(-1.3) / math.sqrt(4 * math.pi)) < 1e-15
 
 
 def test_hydrogen_conjugation():
@@ -218,7 +218,7 @@ def test_partial_wave_coincident_points():
 def test_projection_kernel_ground_state_closed_form():
     g = 1.3
     closed = g ** 3 / (8 * math.pi) * math.exp(-g * (P.r + P0.r) / 2)
-    assert_rel(projection_kernel(1, g, P, P0, method="residue"), closed, 1e-14)
+    assert_rel(projection_kernel(1, g, P, P0, method="residue"), closed, 1e-15)
     assert_rel(projection_kernel(1, g, P, P0, method="eigen_sum"), closed, 1e-13)
 
 

@@ -118,12 +118,6 @@ def test_extended_extra_digits_scopes_precision():
     assert ctx._mp.dps == 30
 
 
-def test_escalate_never_loses_digits():
-    assert HARDWARE.escalate(45).digits == 45
-    assert HARDWARE.escalate(10).digits == 30
-    assert extended(60).escalate(40).digits == 60
-
-
 def test_resolve():
     assert resolve(None) is HARDWARE
     ctx = extended(35)
