@@ -48,7 +48,6 @@ from .summation import (
     exact_rational_sum,
     mu_large_term_surrogate,
     sum_series,
-    tail_rate_estimate,
 )
 from .identities import (
     ExactReport,

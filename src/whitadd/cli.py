@@ -8,7 +8,9 @@ frozen reference files.
 
 Exit status is 0 on success, 1 when any verification row misses its
 threshold, and 2 on bad usage or invalid parameters; unexpected internal
-errors also map to 2 rather than a traceback.
+errors also map to 2 rather than a traceback.  When the reader of standard
+output goes away (``whitadd verify --list | head -1``) the command stops
+quietly with 141, the 128 + SIGPIPE status a shell reports for ``yes | head``.
 
 Structured output:
 
@@ -58,8 +60,8 @@ from .green import (CoulombParams, SphericalPoint, density_polynomial,
                     partial_wave_green, projection_kernel, radial_distribution,
                     radial_norm)
 from .identities import (coefficient_delta_sum, geometry_from,
-                         geometry_from_cosine, pi_addition_terms,
-                         verify_gamma_pi, verify_gamma_zero,
+                         geometry_from_cosine, near_positive_integer,
+                         pi_addition_terms, verify_gamma_pi, verify_gamma_zero,
                          verify_gegenbauer_addition, verify_graf_2d,
                          verify_kappa_integer_limit, verify_laguerre_addition,
                          verify_laguerre_symmetric, verify_lemma_binomial,
@@ -739,8 +741,7 @@ def _stress_summary(rel_tol: float = 1e-8):
         "t0": t0, "t145": t145, "normalized_sum": total,
         "rel_err": rep.rel_err, "n_terms": rep.lhs_diag.n_terms,
         "digits_lost": round(rep.lhs_diag.digits_lost(), 2),
-        "precision": tuple(rep.precision) if rep.precision else
-        ("extended", STRESS_DIGITS),
+        "precision": rep.precision,
         "surrogate_drop_l": ell})
 
 
@@ -845,7 +846,7 @@ def _green_cross_method(bound):
         for k in (0.4, 0.9, 1.7):
             cp = CoulombParams(g, k)
             # positive-integer kappa sits on a bound-state pole of both routes
-            if abs(cp.kappa - round(cp.kappa)) < 1e-3 and round(cp.kappa) >= 1:
+            if near_positive_integer(cp.kappa):
                 continue
             for i, pa in enumerate(pts):
                 pb = pts[(i + 1) % 3]
@@ -1102,7 +1103,14 @@ def main(argv=None) -> int:
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

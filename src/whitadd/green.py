@@ -20,10 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (CoincidentPoints, CoincidentRadii, GeometryViolation,
-                     IndexOutOfRange, NearPole, NoConvergence,
-                     UnsupportedRegion)
-from .identities import (KAPPA_GUARD, _addition_terms, _hostler_bracket,
-                         _near_positive_integer, geometry_from_cosine)
+                     IndexOutOfRange, NoConvergence, UnsupportedRegion)
+from .identities import (KAPPA_GUARD, addition_terms, geometry_from_cosine,
+                         hostler_bracket, require_off_pole)
 from .scalar import resolve
 from .special_core import laguerre, spherical_harmonic
 from .summation import SeriesOptions, SeriesOutcome, context_for, sum_series
@@ -156,12 +155,10 @@ def hostler_green(params: CoulombParams, p: SphericalPoint, p0: SphericalPoint,
     if float(geo.R) <= COINCIDENCE_RTOL * (p.r + p0.r):
         raise CoincidentPoints(f"R={geo.R}; the kernel diverges like 1/R")
     kappa = params.kappa
-    if _near_positive_integer(kappa, kappa_guard):
-        raise NearPole(
-            f"g/(2k)={kappa} within {kappa_guard} of a bound state pole")
+    require_off_pole(kappa, kappa_guard)
     k = ctx.convert(params.k)
-    bracket = _hostler_bracket(ctx.convert(kappa), k * ctx.convert(geo.x),
-                               k * ctx.convert(geo.y), ctx)
+    bracket = hostler_bracket(ctx.convert(kappa), k * ctx.convert(geo.x),
+                              k * ctx.convert(geo.y), ctx)
     return (ctx.gamma(ctx.convert(1 - kappa)) * bracket
             / (4 * ctx.pi * ctx.convert(geo.R)))
 
@@ -176,8 +173,7 @@ class SeriesEvaluation:
 
 def partial_wave_green(params: CoulombParams, p: SphericalPoint,
                        p0: SphericalPoint,
-                       opts: SeriesOptions | None = None,
-                       kappa_guard: float = KAPPA_GUARD) -> SeriesEvaluation:
+                       opts: SeriesOptions | None = None) -> SeriesEvaluation:
     """Resolvent kernel as an adaptively truncated Legendre partial-wave sum.
 
     G = (1/(8 pi k r r0)) sum_l Gamma(l+1-kappa)/(2l)!
@@ -194,13 +190,11 @@ def partial_wave_green(params: CoulombParams, p: SphericalPoint,
         raise CoincidentRadii(
             "coincident points; the diagonal is covered by diagonal_density")
     kappa = params.kappa
-    if _near_positive_integer(kappa, kappa_guard):
-        raise NearPole(
-            f"g/(2k)={kappa} within {kappa_guard} of a bound state pole")
+    require_off_pole(kappa)
     two_k = 2.0 * params.k
     scaled = geometry_from_cosine(two_k * max(p.r, p0.r), two_k * min(p.r, p0.r),
                                   geo.cos_gamma)
-    factory = _addition_terms(kappa, scaled, normalized=False)
+    factory = addition_terms(kappa, scaled, normalized=False)
     try:
         out = sum_series(factory, opts)
     except OverflowError as exc:

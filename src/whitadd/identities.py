@@ -44,6 +44,7 @@ from .scalar import extended, is_nonpositive_integer, resolve
 from .special_core import (
     bessel_modified,
     binomial,
+    gegenbauer_ladder,
     kummer_m,
     laguerre,
     legendre_p,
@@ -188,11 +189,10 @@ class IdentityReport:
     rhs: object
     abs_err: float
     rel_err: float
+    # precision the check actually ran at: "hardware" or ("extended", digits),
+    # which differs from the request when a verifier escalated
+    precision: object
     lhs_diag: SeriesOutcome | None = None
-    rhs_diag: SeriesOutcome | None = None
-    # precision the check actually ran at, when a verifier escalated past
-    # the requested setting; None means "as requested"
-    precision: object = None
 
     def ok(self, tol: float) -> bool:
         return self.rel_err <= tol
@@ -208,20 +208,28 @@ class ExactReport:
     rhs: Fraction
 
 
-def _report(lhs, rhs, lhs_diag=None, rhs_diag=None, precision=None) -> IdentityReport:
+def _report(lhs, rhs, precision, lhs_diag=None) -> IdentityReport:
     abs_err = abs(complex(lhs) - complex(rhs))
     scale = max(abs(complex(lhs)), abs(complex(rhs)), REL_ERR_FLOOR)
     return IdentityReport(lhs=lhs, rhs=rhs, abs_err=abs_err,
-                          rel_err=abs_err / scale,
-                          lhs_diag=lhs_diag, rhs_diag=rhs_diag,
+                          rel_err=abs_err / scale, lhs_diag=lhs_diag,
                           precision=precision)
 
 
-def _near_positive_integer(kappa, guard: float = KAPPA_GUARD) -> bool:
+def near_positive_integer(kappa, guard: float = KAPPA_GUARD) -> bool:
+    """True when kappa lies within guard of a positive integer, where
+    Gamma(1-kappa) and the Coulomb kernel have their bound-state poles."""
     re = float(getattr(kappa, "real", kappa))
     im = float(getattr(kappa, "imag", 0.0))
     n = round(re)
     return n >= 1 and abs(re - n) <= guard and abs(im) <= guard
+
+
+def require_off_pole(kappa, guard: float = KAPPA_GUARD) -> None:
+    """Raise NearPole when ``near_positive_integer(kappa, guard)``."""
+    if near_positive_integer(kappa, guard):
+        raise NearPole(f"kappa={kappa} within {guard} of a positive integer, "
+                       "where Gamma(1-kappa) has a pole")
 
 
 def _require_ring(r0, r) -> None:
@@ -233,7 +241,7 @@ def _require_ring(r0, r) -> None:
 # the central addition theorem and its limits
 # ---------------------------------------------------------------------------
 
-def _hostler_bracket(kappa, x_half, y_half, ctx):
+def hostler_bracket(kappa, x_half, y_half, ctx):
     """M'_{k,1/2}(y/2) W_{k,1/2}(x/2) - M_{k,1/2}(y/2) W'_{k,1/2}(x/2).
 
     At y = 0 the bracket degenerates to W_{k,1/2}(x/2): M vanishes linearly
@@ -249,17 +257,19 @@ def _hostler_bracket(kappa, x_half, y_half, ctx):
     return mp * w - m * wp
 
 
-def _hardware_product(base, mv, wv, p_val, ell):
-    """Multiply partial-wave factors in doubles without lying.
+def _term_product(base, mv, wv, p_val, ell, ctx):
+    """One partial-wave term base * mv * wv * p_val, without lying in doubles.
 
     Near equal radii the M and W factors span hundreds of orders of
     magnitude while their product stays moderate; a partial product can
     then flush to an exact zero (or overflow, making 0*inf NaNs) and
-    silently truncate the series.  Honest, negligible underflow is told
-    apart from range exhaustion by the factor log-magnitudes; exhaustion
-    surfaces as OverflowError so callers escalate precision or report
-    NoConvergence instead of returning a truncated sum.
+    silently truncate the series.  On hardware, honest, negligible underflow
+    is told apart from range exhaustion by the factor log-magnitudes;
+    exhaustion surfaces as OverflowError so callers escalate precision or
+    report NoConvergence instead of returning a truncated sum.
     """
+    if ctx.kind != "hardware":
+        return base * mv * wv * p_val
     if p_val == 0:
         return 0.0 * base
     t = base * mv * wv * p_val
@@ -295,14 +305,14 @@ def _seeds_usable(ctx, *seeds) -> bool:
 def _mu_ladder(kind: str, k, mu0, z, ctx):
     """Yield M_{k,mu0+l}(z) (kind "M") or W_{k,mu0+l}(z) (kind "W") for
     l = 0, 1, 2, ... from a few direct evaluations and the three-term
-    recurrences in the order stated in ``_addition_terms``.
+    recurrences in the order stated in ``addition_terms``.
 
     W runs forward from its values at mu0 and mu0+1; a step whose divisor
     nu+1-k lies within W_STEP_GUARD of zero is replaced by a direct
     evaluation.  M is evaluated per order below l_t = ceil(sqrt|z|), then
     backward through blocks of M_BLOCK orders, each seeded by direct
     evaluations at its top two orders; a hardware block whose seeds are not
-    normal doubles is evaluated per order, so _hardware_product still sees
+    normal doubles is evaluated per order, so _term_product still sees
     every underflow.  ``k``, ``mu0`` and ``z`` are values of ``ctx``.
     """
     half = ctx.convert(1) / 2
@@ -344,15 +354,28 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
         lo = hi + 1
 
 
-def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
-    """Term factory for the partial-wave side of the addition theorem.
+def _coefficients(k, first: int, c):
+    """Yield c_first = c, c_{first+1}, ... by the step
+    c_{l+1}/c_l = (l+1-k)/((2l+1)(2l+2)) of Gamma(l+1-k)/(2l)!."""
+    ell = first
+    while True:
+        yield c
+        c = c * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
+        ell += 1
 
-    Coefficient recurrence c_{l+1}/c_l = (l+1-kappa)/((2l+1)(2l+2)) with
-    c_0 = 1 realizes Gamma(l+1-kappa)/(Gamma(1-kappa)(2l)!) without ever
-    forming a Gamma quotient; ``normalized=False`` multiplies the series by
-    Gamma(1-kappa) instead (the gamma=0 / gamma=pi displays).  The Legendre
-    factor runs as an in-line recurrence, shortcut to (+-1)^l at the exact
-    endpoint cosines.
+
+def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0):
+    """Term factory for the partial-wave side of the addition theorem,
+    (1/(r r0)) Gamma(l+1-kappa)/(2l)! M_{k,l+1/2}(r0) W_{k,l+1/2}(r) P_l(cos g)
+    for l = first, first+1, ...
+
+    ``normalized=True`` divides the series by Gamma(1-kappa); the gamma=0 /
+    gamma=pi displays and the Green function sum it undivided.  The
+    coefficients run
+    by their ratio (``_coefficients``) from Gamma(first+1-kappa)/(2 first)!,
+    so no Gamma quotient is ever formed, and at kappa = 1 with first = 1 they
+    are the (l-1)!/(2l)! of the integer limit.  The Legendre factor comes
+    from ``gegenbauer_ladder`` at mu = 1/2, exact (+-1)^l at cos g = +-1.
 
     The Whittaker factors come from ``_mu_ladder``, not from one evaluation
     per order.  With nu = mu - 1/2 both functions obey three-term
@@ -373,40 +396,57 @@ def _addition_terms(kappa, geo: GeometryConfig, normalized: bool):
     490).  A whole run of L orders costs a few direct evaluations plus O(L)
     arithmetic instead of 2L evaluations.
     """
-    endpoint = geo.cos_gamma == 1 or geo.cos_gamma == -1
-
     def factory(ctx):
         k = ctx.convert(kappa)
         r = ctx.convert(geo.r)
         r0 = ctx.convert(geo.r0)
-        c = ctx.convert(geo.cos_gamma)
+        half = ctx.convert(1) / 2
         pref = 1 / (r * r0)
         if not normalized:
-            pref = pref * ctx.gamma(1 - k)
-        half = ctx.convert(1) / 2
-        coeff = ctx.convert(1)
-        p_prev = ctx.convert(1)
-        p_cur = c
-        pairs = zip(_mu_ladder("M", k, half, r0, ctx), _mu_ladder("W", k, half, r, ctx))
-        for ell, (mv, wv) in enumerate(pairs):
-            if endpoint:
-                p_val = 1 if (geo.cos_gamma == 1 or ell % 2 == 0) else -1
-            elif ell == 0:
-                p_val = ctx.convert(1)
-            elif ell == 1:
-                p_val = p_cur
-            else:
-                p_cur, p_prev = ((2 * ell - 1) * c * p_cur - (ell - 1) * p_prev) / ell, p_cur
-                p_val = p_cur
-            if ctx.kind == "hardware":
-                yield _hardware_product(pref * coeff, mv, wv, p_val, ell)
-            else:
-                yield pref * coeff * mv * wv * p_val
-            coeff = coeff * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
+            pref = pref * ctx.gamma(first + 1 - k)
+        elif first:
+            pref = pref * pochhammer(1 - k, first)
+        coeffs = _coefficients(k, first, ctx.convert(1) / math.factorial(2 * first))
+        legendre = itertools.islice(
+            gegenbauer_ladder(half, ctx.convert(geo.cos_gamma)), first, None)
+        mu0 = half + first
+        terms = zip(itertools.count(first), coeffs, legendre,
+                    _mu_ladder("M", k, mu0, r0, ctx), _mu_ladder("W", k, mu0, r, ctx))
+        for ell, coeff, p_val, mv, wv in terms:
+            yield _term_product(pref * coeff, mv, wv, p_val, ell, ctx)
     return factory
 
 
-def verify_whittaker_addition(kappa, geo: GeometryConfig, lmax: int | None = None,
+def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
+                    opts: SeriesOptions | None, closed) -> IdentityReport:
+    """The partial-wave series of ``addition_terms`` against ``closed(ctx)``,
+    the closed side of verify_whittaker_addition or of its gamma=0 and
+    gamma=pi displays.  Valid for 0 <= r0 < r and kappa off the positive
+    integers, where Gamma(1-kappa) has a pole."""
+    _require_ring(geo.r0, geo.r)
+    require_off_pole(kappa)
+    opts = opts or SeriesOptions()
+    ctx = context_for(opts)
+    if float(geo.r0) == 0.0:
+        # M_{k,l+1/2}(r0) ~ r0^(l+1), so only l = 0 survives the 1/(r r0)
+        # prefactor and the series collapses to W_{k,1/2}(r)/r
+        r = ctx.convert(geo.r)
+        lhs = whittaker_w((kappa, 0.5), r, ctx=ctx) / r
+        if not normalized:
+            lhs = lhs * ctx.gamma(1 - ctx.convert(kappa))
+        out = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
+                            condition_number=1.0, tail_estimate=0.0)
+    else:
+        try:
+            out = sum_series(addition_terms(kappa, geo, normalized), opts)
+        except OverflowError as exc:
+            raise NoConvergence(
+                "partial-wave terms left the hardware range before the tail met "
+                "tolerance; raise the precision or loosen rel_tol") from exc
+    return _report(out.value, closed(ctx), opts.precision, lhs_diag=out)
+
+
+def verify_whittaker_addition(kappa, geo: GeometryConfig,
                               opts: SeriesOptions | None = None) -> IdentityReport:
     """Partial-wave expansion against the compact two-point bracket.
 
@@ -415,79 +455,35 @@ def verify_whittaker_addition(kappa, geo: GeometryConfig, lmax: int | None = Non
     at order (k, 1/2).  Valid for 0 <= r0 < r and kappa off the positive
     integers, where the normalization has a pole.
     """
-    _require_ring(geo.r0, geo.r)
-    if _near_positive_integer(kappa):
-        raise NearPole(
-            f"kappa={kappa} within {KAPPA_GUARD} of a positive integer; "
-            "use verify_kappa_integer_limit for the combined limiting form")
-    opts = opts or SeriesOptions()
-    if float(geo.r0) == 0.0:
-        # M_{k,l+1/2}(r0) ~ r0^(l+1), so only l = 0 survives the 1/(r r0)
-        # prefactor and the series collapses to W_{k,1/2}(r)/r
-        ctx = context_for(opts)
-        r = ctx.convert(geo.r)
-        lhs = whittaker_w((kappa, 0.5), r, ctx=ctx) / r
-        diag = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
-                             condition_number=1.0, tail_estimate=0.0)
+    def closed(ctx):
         R, x, y = _geometry_at(geo, ctx)
-        rhs = _hostler_bracket(ctx.convert(kappa), x / 2, y / 2, ctx) / R
-        return _report(lhs, rhs, lhs_diag=diag)
-    if lmax is not None:
-        opts = replace(opts, max_terms=lmax + 1, min_terms=min(opts.min_terms, lmax + 1))
-    factory = _addition_terms(kappa, geo, normalized=True)
-    try:
-        out = sum_series(factory, opts)
-    except NoConvergence as exc:
-        if lmax is not None and exc.outcome is not None:
-            out = exc.outcome  # fixed-lmax truncation was requested
-        else:
-            raise
-    except OverflowError as exc:
-        raise NoConvergence(
-            "partial-wave terms left the hardware range before the tail met "
-            "tolerance; raise the precision or loosen rel_tol") from exc
-    ctx = context_for(opts)
-    R, x, y = _geometry_at(geo, ctx)
-    rhs = _hostler_bracket(ctx.convert(kappa), x / 2, y / 2, ctx) / R
-    return _report(out.value, rhs, lhs_diag=out)
+        return hostler_bracket(ctx.convert(kappa), x / 2, y / 2, ctx) / R
+
+    return _addition_check(kappa, geo, True, opts, closed)
 
 
 def verify_gamma_zero(kappa, r0, r, opts: SeriesOptions | None = None) -> IdentityReport:
-    """Collinear (gamma=0) form: the series against the Wronskian-like bracket
-    Gamma(1-k)/(r-r0) [M'(r0) W(r) - M(r0) W'(r)] at order (k, 1/2)."""
-    if not 0 < float(r0) < float(r):
-        raise GeometryViolation(f"need 0 < r0 < r, got r0={r0}, r={r}")
-    if _near_positive_integer(kappa):
-        raise NearPole(f"kappa={kappa} too close to a positive integer")
-    opts = opts or SeriesOptions()
+    """Collinear (gamma=0) form: the series times Gamma(1-k) against the
+    Wronskian-like bracket Gamma(1-k)/(r-r0) [M'(r0) W(r) - M(r0) W'(r)] at
+    order (k, 1/2)."""
+    def closed(ctx):
+        k, rr0, rr = ctx.convert(kappa), ctx.convert(r0), ctx.convert(r)
+        return ctx.gamma(1 - k) * hostler_bracket(k, rr, rr0, ctx) / (rr - rr0)
+
     geo = geometry_from_cosine(r, r0, 1.0, gamma=0.0)
-    out = sum_series(_addition_terms(kappa, geo, normalized=False), opts)
-    ctx = context_for(opts)
-    k = ctx.convert(kappa)
-    order = (k, ctx.convert(1) / 2)
-    rr0 = ctx.convert(r0)
-    rr = ctx.convert(r)
-    bracket = (whittaker_m(order, rr0, deriv=True, ctx=ctx) * whittaker_w(order, rr, ctx=ctx)
-               - whittaker_m(order, rr0, ctx=ctx) * whittaker_w(order, rr, deriv=True, ctx=ctx))
-    rhs = ctx.gamma(1 - k) * bracket / (rr - rr0)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _addition_check(kappa, geo, False, opts, closed)
 
 
 def verify_gamma_pi(kappa, r0, r, opts: SeriesOptions | None = None) -> IdentityReport:
-    """Antipodal (gamma=pi) form: the alternating series against
-    Gamma(1-k) W_{k,1/2}(r+r0)/(r+r0)."""
-    if not 0 < float(r0) < float(r):
-        raise GeometryViolation(f"need 0 < r0 < r, got r0={r0}, r={r}")
-    if _near_positive_integer(kappa):
-        raise NearPole(f"kappa={kappa} too close to a positive integer")
-    opts = opts or SeriesOptions()
+    """Antipodal (gamma=pi) form: the alternating series times Gamma(1-k)
+    against Gamma(1-k) W_{k,1/2}(r+r0)/(r+r0)."""
+    def closed(ctx):
+        k = ctx.convert(kappa)
+        s = ctx.convert(r) + ctx.convert(r0)
+        return ctx.gamma(1 - k) * whittaker_w((k, ctx.convert(1) / 2), s, ctx=ctx) / s
+
     geo = geometry_from_cosine(r, r0, -1.0, gamma=math.pi)
-    out = sum_series(_addition_terms(kappa, geo, normalized=False), opts)
-    ctx = context_for(opts)
-    k = ctx.convert(kappa)
-    s = ctx.convert(r) + ctx.convert(r0)
-    rhs = ctx.gamma(1 - k) * whittaker_w((k, ctx.convert(1) / 2), s, ctx=ctx) / s
-    return _report(out.value, rhs, lhs_diag=out)
+    return _addition_check(kappa, geo, False, opts, closed)
 
 
 def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
@@ -516,22 +512,8 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
         ctx = extended(40)
         opts = replace(opts, precision=("extended", 40))
 
-    def lhs_terms(c):
-        k = c.convert(1)
-        r = c.convert(geo.r)
-        r0 = c.convert(geo.r0)
-        cg = c.convert(geo.cos_gamma)
-        mu0 = 3 * c.convert(1) / 2  # the series starts at l = 1
-        coeff = c.convert(1) / 2  # (l-1)!/(2l)! at l=1
-        p_prev = c.convert(1)
-        p_cur = cg
-        pairs = zip(_mu_ladder("M", k, mu0, r0, c), _mu_ladder("W", k, mu0, r, c))
-        for ell, (mv, wv) in enumerate(pairs, start=1):
-            yield coeff * mv * wv * p_cur / (r * r0)
-            coeff = coeff * ell / ((2 * ell + 1) * (2 * ell + 2))
-            p_cur, p_prev = ((2 * ell + 1) * cg * p_cur - ell * p_prev) / (ell + 1), p_cur
-
-    out = sum_series(lhs_terms, opts)
+    # Gamma(l+1-kappa)/(2l)! at kappa = 1 is (l-1)!/(2l)!
+    out = sum_series(addition_terms(1, geo, normalized=False, first=1), opts)
 
     R, x, y = _geometry_at(geo, ctx)
     xh, yh = x / 2, y / 2
@@ -541,7 +523,7 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
 
     def regularized(k):
         order = (k, half)
-        return (_hostler_bracket(k, xh, yh, ctx) / R
+        return (hostler_bracket(k, xh, yh, ctx) / R
                 - whittaker_m(order, r0, ctx=ctx) * whittaker_w(order, r, ctx=ctx) / (r * r0))
 
     h = ctx.convert(step)
@@ -556,14 +538,13 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
     # two Richardson levels: error h^2 -> h^4 -> h^6
     r1 = [(4 * diffs[i + 1] - diffs[i]) / 3 for i in range(2)]
     deriv = (16 * r1[1] - r1[0]) / 15
-    return _report(out.value, -deriv, lhs_diag=out, precision=opts.precision)
+    return _report(out.value, -deriv, opts.precision, lhs_diag=out)
 
 
 def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityReport:
     """Exponential sum: (1/z) sum_l (-1)^l [Gamma(l+1-k)/(Gamma(1-k)(2l)!)]
     M_{k,l+1/2}(z) = e^{-z/2}, entire in z."""
-    if _near_positive_integer(kappa):
-        raise NearPole(f"kappa={kappa} too close to a positive integer")
+    require_off_pole(kappa)
     if complex(z) == 0:
         raise GeometryViolation("z=0 is the removable point; evaluate nearby instead")
     opts = opts or SeriesOptions()
@@ -572,16 +553,16 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
         k = ctx.convert(kappa)
         zz = ctx.convert(z)
         half = ctx.convert(1) / 2
-        coeff = ctx.convert(1) / zz
-        for ell, mv in enumerate(_mu_ladder("M", k, half, zz, ctx)):
+        pairs = zip(_coefficients(k, 0, ctx.convert(1) / zz),
+                    _mu_ladder("M", k, half, zz, ctx))
+        for ell, (coeff, mv) in enumerate(pairs):
             term = coeff * mv
             yield -term if ell % 2 else term
-            coeff = coeff * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
 
     out = sum_series(terms, opts)
     ctx = context_for(opts)
     rhs = ctx.exp(-ctx.convert(z) / 2)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +586,7 @@ def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> Identity
         lhs = bessel_modified(0, ctx.convert(k) * ctx.convert(r), "K", ctx=ctx)
         diag = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
                              condition_number=1.0, tail_estimate=0.0)
-        return _report(lhs, rhs, lhs_diag=diag)
+        return _report(lhs, rhs, opts.precision, lhs_diag=diag)
 
     def terms(c):
         u = c.convert(k) * c.convert(r)
@@ -620,7 +601,7 @@ def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> Identity
             n += 1
 
     out = sum_series(terms, opts)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
 def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = None) -> IdentityReport:
@@ -641,22 +622,10 @@ def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = No
         v = ctx.convert(r0)
         c = ctx.convert(math.cos(float(gamma)))
         pref = ctx.power(2, nn) * ctx.gamma(nn) / ctx.power(u * v, nn)
-        g_prev = ctx.convert(1)
-        g_cur = 2 * nn * c
-        n = 0
-        while True:
-            if n == 0:
-                g_val = ctx.convert(1)
-            elif n == 1:
-                g_val = g_cur
-            else:
-                g_cur, g_prev = ((2 * c * (n + nn - 1) * g_cur
-                                  - (n + 2 * nn - 2) * g_prev) / n, g_cur)
-                g_val = g_cur
+        for n, g_val in enumerate(gegenbauer_ladder(nn, c)):
             yield (pref * (nn + n)
                    * bessel_modified(float(nu) + n, u, "K", ctx=ctx)
                    * bessel_modified(float(nu) + n, v, "I", ctx=ctx) * g_val)
-            n += 1
 
     out = sum_series(terms, opts)
     ctx = context_for(opts)
@@ -664,7 +633,7 @@ def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = No
     c = ctx.convert(math.cos(float(gamma)))
     R = ctx.sqrt(u * u + v * v - 2 * u * v * c)
     rhs = bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, ctx.convert(nu))
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
 def verify_spherical_addition(l: int, theta, phi, theta0, phi0) -> IdentityReport:
@@ -679,7 +648,7 @@ def verify_spherical_addition(l: int, theta, phi, theta0, phi0) -> IdentityRepor
     cg = (math.cos(theta) * math.cos(theta0)
           + math.sin(theta) * math.sin(theta0) * math.cos(phi - phi0))
     rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, 0, cg)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, "hardware", lhs_diag=out)
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +670,8 @@ def verify_laguerre_addition(n: int, geo: GeometryConfig) -> IdentityReport | Ex
     _require_ring(geo.r0, geo.r)
     exact = all(isinstance(q, (Fraction, int)) for q in
                 (geo.r, geo.r0, geo.R, geo.x, geo.y, geo.cos_gamma))
-    r, r0, c = geo.r, geo.r0, geo.cos_gamma
-    if not exact:
-        r, r0, c = float(r), float(r0), float(c)
+    # Fraction, not int: legendre_p of an integer cosine returns floats
+    r, r0, c = map(Fraction if exact else float, (geo.r, geo.r0, geo.cos_gamma))
 
     def term(l):
         w = Fraction((2 * l + 1) * math.factorial(n - l - 1), math.factorial(n + l))
@@ -722,7 +690,7 @@ def verify_laguerre_addition(n: int, geo: GeometryConfig) -> IdentityReport | Ex
     x, y, R = float(geo.x), float(geo.y), float(geo.R)
     rhs = (x * laguerre(n - 1, 1, x / 2) * laguerre(n, 0, y / 2)
            - y * laguerre(n - 1, 1, y / 2) * laguerre(n, 0, x / 2)) / (2 * R)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, "hardware", lhs_diag=out)
 
 
 def verify_laguerre_symmetric(n: int, u, v, variant: str = "interior",
@@ -770,7 +738,7 @@ def verify_laguerre_symmetric(n: int, u, v, variant: str = "interior",
         residual = lhs - rhs
         return ExactReport(exact=residual == 0, residual=residual, lhs=lhs, rhs=rhs)
     out = sum_series((term(l) for l in range(n + 1)), SeriesOptions(max_terms=n + 2))
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, "hardware", lhs_diag=out)
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +780,14 @@ def verify_w_downward_sum(n: int, kappa, mu, r, opts: SeriesOptions | None = Non
 
     # per order on purpose: the identity is itself a contiguous relation in
     # mu, so a recurred W would make the check circular
-    out = sum_series(terms, replace(opts, max_terms=n + 2, min_terms=1))
+    out = sum_series(terms, replace(opts, max_terms=n + 2))
     k = ctx.convert(kappa)
     m = ctx.convert(mu)
     rr = ctx.convert(r)
     half_n = ctx.convert(n) / 2
     rhs = ((-1) ** n * ctx.power(rr, -half_n)
            * whittaker_w((k - half_n, m + half_n), rr, ctx=ctx))
-    return _report(out.value, rhs, lhs_diag=out, precision=opts.precision)
+    return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
 def coefficient_delta_sum(n: int, mu) -> Fraction:
@@ -842,10 +810,7 @@ def _pi_terms(k, m, rr0, rr, pref, ctx):
     coeff = ctx.convert(1)
     pairs = zip(_mu_ladder("M", k, m, rr0, ctx), _mu_ladder("W", k, m, rr, ctx))
     for ell, (mv, wv) in enumerate(pairs):
-        if ctx.kind == "hardware":
-            yield _hardware_product(pref * coeff, mv, wv, 1, ell)
-        else:
-            yield pref * coeff * mv * wv
+        yield _term_product(pref * coeff, mv, wv, 1, ell, ctx)
         coeff = (coeff * (m - k + half + ell) * (ell + 2 * m)
                  / (2 * (ell + m) * (2 * ell + 2 * m + 1) * (ell + 1)))
 
@@ -920,7 +885,7 @@ def verify_pi_addition_general(kappa, mu, r0, r,
                              -(ctx.convert(mu) + ctx.convert(1) / 2))
                    * whittaker_w((ctx.convert(kappa), ctx.convert(mu)),
                                  ctx.convert(r) + ctx.convert(r0), ctx=ctx))
-            report = _report(out.value, rhs, lhs_diag=out, precision=precision)
+            report = _report(out.value, rhs, precision, lhs_diag=out)
             if precision != opts.precision:
                 logger.info("pi-form series escalated to %s (lost %.1f digits)",
                             precision, out.digits_lost())
@@ -952,17 +917,8 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
         half = ctx.convert(1) / 2
         pref = ctx.power(zz, -(m + half))
         coeff = ctx.convert(1)
-        g_prev = ctx.convert(1)
-        g_cur = 2 * m * c
-        for ell, mv in enumerate(_mu_ladder("M", k, m, zz, ctx)):
-            if ell == 0:
-                g_val = ctx.convert(1)
-            elif ell == 1:
-                g_val = g_cur
-            else:
-                g_cur, g_prev = ((2 * c * (ell + m - 1) * g_cur
-                                  - (ell + 2 * m - 2) * g_prev) / ell, g_cur)
-                g_val = g_cur
+        pairs = zip(gegenbauer_ladder(m, c), _mu_ladder("M", k, m, zz, ctx))
+        for ell, (g_val, mv) in enumerate(pairs):
             yield pref * coeff * mv * g_val
             coeff = coeff / ((2 * m + 2 * ell) * (2 * m + 2 * ell + 1)) * (m - k + half + ell)
 
@@ -974,7 +930,7 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
     half = ctx.convert(1) / 2
     chalf = ctx.cos(ctx.convert(gamma) / 2)
     rhs = ctx.exp(-zz / 2) * kummer_m(m - k + half, m + half, chalf * chalf * zz, ctx=ctx)
-    return _report(out.value, rhs, lhs_diag=out)
+    return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
 def verify_lemma_binomial(N: int, nu) -> ExactReport:

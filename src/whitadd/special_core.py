@@ -21,6 +21,7 @@ References
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -178,13 +179,7 @@ def legendre_p(l: int, m: int = 0, x=0.0):
         return legendre_p(l, m, x) * sign * num / den
 
     if m == 0:
-        p_prev = x * 0 + 1
-        if l == 0:
-            return p_prev
-        p = x
-        for k in range(1, l):
-            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-        return p
+        return next(itertools.islice(gegenbauer_ladder((x * 0 + 1) / 2, x), l, None))
 
     if isinstance(x, Fraction):
         x = float(x)  # sqrt(1-x^2) leaves the rationals for m != 0
@@ -209,21 +204,30 @@ def legendre_p(l: int, m: int = 0, x=0.0):
 
 
 def gegenbauer_c(l: int, mu, x):
-    """Gegenbauer (ultraspherical) polynomial C_l^{(mu)}(x), mu > 0.
-
-    Recurrence l C_l = 2x(l+mu-1) C_{l-1} - (l+2mu-2) C_{l-2}; exact for
-    exact inputs. C_l^{(1/2)} is the Legendre polynomial.
-    """
+    """Gegenbauer (ultraspherical) polynomial C_l^{(mu)}(x), mu > 0, taken
+    from ``gegenbauer_ladder``; exact for exact inputs."""
     _check_degree(l)
     if not float(getattr(mu, "real", mu)) > 0:
         raise IndexOutOfRange(f"gegenbauer_c requires mu > 0, got {mu!r}")
+    return next(itertools.islice(gegenbauer_ladder(mu, x), l, None))
+
+
+def gegenbauer_ladder(mu, x):
+    """Yield C_0^{(mu)}(x), C_1^{(mu)}(x), C_2^{(mu)}(x), ... without end.
+
+    Recurrence l C_l = 2x(l+mu-1) C_{l-1} - (l+2mu-2) C_{l-2}; exact for
+    exact inputs.  mu = 1/2 gives the Legendre polynomials, with the same
+    rounding as the Legendre recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1},
+    and exactly (+-1)^l at x = +-1.
+    """
     c_prev = x * 0 + 1
-    if l == 0:
-        return c_prev
+    yield c_prev
     c = 2 * mu * x
-    for k in range(2, l + 1):
+    k = 2
+    while True:
+        yield c
         c, c_prev = (2 * x * (k + mu - 1) * c - (k + 2 * mu - 2) * c_prev) / k, c
-    return c
+        k += 1
 
 
 def laguerre(n: int, alpha=0, x=0.0):

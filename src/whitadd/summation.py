@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryViolation, NoConvergence
@@ -37,25 +37,13 @@ class SeriesOptions:
         Stop once the estimated tail is below rel_tol * |partial sum|.
     max_terms : int
         Hard cap; exceeding it raises NoConvergence with the partial outcome.
-    min_terms : int
-        Never stop before this many terms (ratio estimates need history).
     precision : str | tuple
-        "hardware" or ("extended", digits); ignored when an explicit scalar
-        context is handed to sum_series.
-    tail_policy : str | tuple
-        "ratio_test" estimates the tail from observed term ratios;
-        ("asymptotic_rate", base, power) declares terms ~ C l^power base^l
-        and bounds the tail geometrically from that rate.
-    keep_terms : bool
-        Record every term value in the outcome's terms_log.
+        "hardware" or ("extended", digits).
     """
 
     rel_tol: float = 1e-12
     max_terms: int = DEFAULT_MAX_TERMS
-    min_terms: int = 4
     precision: object = "hardware"
-    tail_policy: object = "ratio_test"
-    keep_terms: bool = False
 
 
 @dataclass
@@ -67,7 +55,6 @@ class SeriesOutcome:
     max_term_mag: float = 0.0
     condition_number: float = 1.0
     tail_estimate: float = math.inf
-    terms_log: list = field(default_factory=list)
 
     def digits_lost(self) -> float:
         """Decimal digits destroyed by cancellation."""
@@ -81,8 +68,6 @@ def context_for(options: SeriesOptions):
         return HARDWARE
     if isinstance(p, (tuple, list)) and len(p) == 2 and p[0] == "extended":
         return extended(int(p[1]))
-    if isinstance(p, int):
-        return extended(p)
     raise ValueError(f"unrecognized precision spec {p!r}")
 
 
@@ -131,7 +116,7 @@ class _Accumulator:
 RATIO_WINDOW = 32
 
 
-def _tail_from_ratio(mags, k):
+def _tail_from_ratio(mags):
     """Geometric tail bound from the decay observed over a trailing window.
 
     Single-step ratios are useless when the terms carry an oscillating or
@@ -147,7 +132,8 @@ def _tail_from_ratio(mags, k):
     Legendre factor behaves like a Bessel function whose amplitude dips for
     tens of consecutive orders); 32 terms costs at most that many extra
     evaluations on smooth series and prevents a premature stop on modulated
-    ones.
+    ones.  Fewer than four terms give no estimate (an infinite tail), which
+    is what keeps ``sum_series`` from stopping on its first terms.
     """
     window = mags[-RATIO_WINDOW:]
     if len(window) < 4:
@@ -168,19 +154,7 @@ def _tail_from_ratio(mags, k):
     return max(m_head, m_tail) * q / (1.0 - q)
 
 
-def _tail_from_rate(mags, k, base, power):
-    """Tail bound for terms declared to decay like C l^power base^l."""
-    if not 0 < base < 1:
-        raise GeometryViolation(f"asymptotic_rate base must be in (0,1), got {base}")
-    n = max(k, 1)
-    q = base * ((n + 1) / n) ** max(power, 0.0)
-    if q >= 1.0:
-        return math.inf
-    last = mags[-1] if mags and mags[-1] > 0 else max(mags[-3:], default=0.0)
-    return last * q / (1.0 - q)
-
-
-def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesOutcome:
+def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     """Sum a series with full diagnostics.
 
     Parameters
@@ -188,10 +162,8 @@ def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesO
     terms : iterable | callable
         An iterable of scalar terms, or a callable ``terms(ctx)`` returning
         one -- the callable form lets a single series definition be re-summed
-        at a different precision by passing a different context.
+        at another precision by passing other options.
     options : SeriesOptions
-    ctx : scalar context, optional
-        Overrides options.precision when given.
 
     Returns
     -------
@@ -204,22 +176,12 @@ def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesO
         The partial outcome rides on the exception's ``outcome`` attribute.
     """
     options = options or SeriesOptions()
-    ctx = resolve(ctx) if ctx is not None else context_for(options)
+    ctx = context_for(options)
     stream = terms(ctx) if callable(terms) else terms
-
-    policy = options.tail_policy
-    if isinstance(policy, (tuple, list)) and policy and policy[0] == "asymptotic_rate":
-        _, base, power = policy
-        tail_fn = lambda mags, k: _tail_from_rate(mags, k, float(base), float(power))
-    elif policy == "ratio_test":
-        tail_fn = _tail_from_ratio
-    else:
-        raise ValueError(f"unrecognized tail policy {policy!r}")
 
     acc = _Accumulator(ctx)
     abs_sum = ctx.convert(0)
     mags: list[float] = []
-    terms_log: list = []
     max_mag = 0.0
     tail = math.inf
     passes = 0
@@ -228,7 +190,7 @@ def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesO
 
     while True:
         if n >= options.max_terms:
-            outcome = _finish(acc, n, max_mag, abs_sum, tail, terms_log, ctx)
+            outcome = _finish(acc, n, max_mag, abs_sum, tail, ctx)
             logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
             raise NoConvergence(
                 f"series did not meet rel_tol={options.rel_tol} in {n} terms",
@@ -244,13 +206,9 @@ def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesO
         mag = ctx.mag(term)
         abs_sum = abs_sum + mag
         mags.append(float(mag))
-        if options.keep_terms:
-            terms_log.append(term)
         max_mag = max(max_mag, float(mag))
         n += 1
-        if n < options.min_terms:
-            continue
-        tail = tail_fn(mags, n)
+        tail = _tail_from_ratio(mags)
         value_mag = ctx.mag(acc.value())
         if tail <= options.rel_tol * max(float(value_mag), 1e-300):
             passes += 1
@@ -259,10 +217,10 @@ def sum_series(terms, options: SeriesOptions | None = None, ctx=None) -> SeriesO
         else:
             passes = 0
 
-    return _finish(acc, n, max_mag, abs_sum, tail, terms_log, ctx)
+    return _finish(acc, n, max_mag, abs_sum, tail, ctx)
 
 
-def _finish(acc, n, max_mag, abs_sum, tail, terms_log, ctx) -> SeriesOutcome:
+def _finish(acc, n, max_mag, abs_sum, tail, ctx) -> SeriesOutcome:
     value = acc.value()
     vmag = float(ctx.mag(value))
     cond = float(abs_sum) / vmag if vmag > 0 else math.inf
@@ -272,7 +230,6 @@ def _finish(acc, n, max_mag, abs_sum, tail, terms_log, ctx) -> SeriesOutcome:
         max_term_mag=max_mag,
         condition_number=cond,
         tail_estimate=float(tail),
-        terms_log=terms_log,
     )
 
 
@@ -287,29 +244,6 @@ def exact_rational_sum(terms) -> Fraction:
             raise TypeError("exact_rational_sum got a float; use Fraction terms")
         total += Fraction(t)
     return total
-
-
-def tail_rate_estimate(mu, r0: float, r: float, ell: int, log10: bool = False) -> float:
-    """Decay model for the partial-wave terms: t_l ~ l^(2 Re mu - 1) (r0/r)^l.
-
-    Valid when r0 < r (the series is summed with the smaller radius inside
-    the M factor); returns the unnormalized rate at index ell, or its log10.
-
-    Raises
-    ------
-    GeometryViolation
-        If r0 >= r, where the expansion does not decay.
-    """
-    if r0 >= r:
-        raise GeometryViolation(f"tail rate needs r0 < r, got r0={r0}, r={r}")
-    if r0 <= 0 or r <= 0:
-        raise GeometryViolation("radii must be positive")
-    ell_eff = max(ell, 1)
-    mu_re = float(getattr(mu, "real", mu))
-    lg = (2 * mu_re - 1) * math.log10(ell_eff) + ell_eff * math.log10(r0 / r)
-    if log10:
-        return lg
-    return 10.0 ** lg if lg > -300 else 0.0
 
 
 def mu_large_term_surrogate(kappa, mu, r0: float, r: float, ell: int, ctx=None):

@@ -4,13 +4,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import whitadd
 from helpers import GOLDEN_DIR, rel
-from whitadd.cli import UsageError, main, parse_point, parse_scalar
+from whitadd.cli import IDENTITIES, UsageError, main, parse_point, parse_scalar
 from whitadd.green import CoulombParams, SphericalPoint, hostler_green
+from whitadd.summation import SeriesOptions
 
 pytestmark = pytest.mark.usefixtures("no_env_digits")
 
@@ -119,6 +125,33 @@ def test_verify_list(capsys):
     assert rc == 0
     for name in ("whittaker_addition", "lemma_binomial", "pi_addition", "delta_sum"):
         assert name in out
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader is gone before the first write, as in `whitadd ... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(Path(whitadd.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "whitadd.cli", "verify", "--list"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141  # 128 + SIGPIPE
+    assert proc.stderr == b""
+
+
+def test_every_verifier_reports_its_precision():
+    # the first grid point of every identity with a residual threshold
+    for name, entry in IDENTITIES.items():
+        if entry.threshold is None:
+            continue
+        pt = {param: entry.grid[param][0] for param in entry.params}
+        rep = entry.run(pt, SeriesOptions())
+        assert rep.precision == "hardware" or (
+            rep.precision[0] == "extended" and rep.precision[1] >= 30), name
 
 
 def test_verify_unknown_identity(capsys):

@@ -1,5 +1,6 @@
 """Identity verifiers: residuals, guards, cross-routes, golden anchors."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from whitadd.errors import (
     UnsupportedOrder,
 )
 from whitadd.identities import (
+    addition_terms,
     coefficient_delta_sum,
     geometry_from,
     geometry_from_cosine,
@@ -111,12 +113,6 @@ def test_addition_near_positive_integer_kappa_guarded():
     assert verify_whittaker_addition(0.0, GEO).ok(1e-11)
 
 
-def test_addition_truncation():
-    rep = verify_whittaker_addition(-0.7, GEO, lmax=5)
-    assert rep.lhs_diag.n_terms == 6
-    assert rep.rel_err > 1e-9  # six terms cannot hit series accuracy
-
-
 def test_addition_right_angle_parity_split():
     # odd-order terms are suppressed ~17 orders at a right angle; the tail
     # estimator must still certify the stop at the even-train rate
@@ -153,6 +149,18 @@ def test_gamma_endpoint_forms():
     assert verify_gamma_pi(0.3, 1.0, 3.0).rel_err < 1e-11
 
 
+def test_addition_forms_collapse_at_the_origin():
+    # r0 = 0: M_{k,l+1/2}(r0) ~ r0^(l+1) leaves only the l = 0 term, W_{k,1/2}(r)/r,
+    # times Gamma(1-k) in the gamma = 0 and gamma = pi forms
+    w = float(mpmath.whitw(-0.7, 0.5, 3.0)) / 3.0
+    rep = verify_whittaker_addition(-0.7, geometry_from(3.0, 0.0, 1.0))
+    assert rep.lhs_diag.n_terms == 1
+    assert rel(rep.lhs, w) < 1e-13 and rep.rel_err < 1e-13
+    for verify in (verify_gamma_zero, verify_gamma_pi):
+        rep = verify(-0.7, 0.0, 3.0)
+        assert rel(rep.lhs, math.gamma(1.7) * w) < 1e-13 and rep.rel_err < 1e-13
+
+
 def test_endpoint_forms_consistent_with_full_verifier():
     assert verify_whittaker_addition(-0.7, geometry_from(3.0, 1.0, 0.0)).rel_err < 1e-10
     geopi = geometry_from(3.0, 1.0, math.pi)
@@ -164,6 +172,17 @@ def test_endpoint_forms_consistent_with_full_verifier():
     reppi = verify_gamma_pi(-0.7, 1.0, 3.0)
     ratio = repB.rhs * geopi.R / (reppi.rhs / math.gamma(1 - (-0.7)) * (3.0 + 1.0))
     assert abs(ratio - 1) < 1e-13
+
+
+def test_addition_terms_from_a_later_order():
+    # a series started at l = 2 continues the one started at l = 0
+    geo = geometry_from(3.0, 1.0, 0.7)
+    ctx = extended(30)
+    for normalized in (True, False):
+        full = list(itertools.islice(addition_terms(-0.7, geo, normalized)(ctx), 8))
+        later = addition_terms(-0.7, geo, normalized, first=2)(ctx)
+        for want, got in zip(full[2:], later):
+            assert rel(got, want) < 1e-25
 
 
 def test_kappa_integer_limit():
@@ -221,9 +240,11 @@ def test_spherical_addition():
 
 def test_laguerre_addition_exact():
     ge = geometry_from_cosine(Fraction(2), Fraction(1), Fraction(1, 4))
+    collinear = geometry_from_cosine(Fraction(2), Fraction(1), 1)  # integer cosine
     for n in (1, 3, 6):
-        rep = verify_laguerre_addition(n, ge)
-        assert rep.exact and rep.residual == 0
+        for geo in (ge, collinear):
+            rep = verify_laguerre_addition(n, geo)
+            assert rep.exact and rep.residual == 0
     repf = verify_laguerre_addition(4, geometry_from(2.0, 1.0, 1.1))
     assert repf.rel_err < 1e-12
 

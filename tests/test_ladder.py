@@ -9,7 +9,8 @@ import pytest
 
 from whitadd import identities
 from whitadd.errors import NoConvergence
-from whitadd.identities import _mu_ladder, geometry_from, verify_whittaker_addition
+from whitadd.identities import (_mu_ladder, geometry_from, verify_gamma_pi,
+                                verify_gamma_zero, verify_whittaker_addition)
 from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import whittaker_m, whittaker_w
 from whitadd.summation import SeriesOptions
@@ -136,9 +137,15 @@ def test_hardware_m_block_with_underflowing_seeds_falls_back_per_order():
     assert 100 < normal < 130
 
 
-@pytest.mark.parametrize("r0, r", [(2.0, 2.1), (0.05, 0.055)])
+@pytest.mark.parametrize("r0, r", [(2.0, 2.1), (0.05, 0.055), (30.0, 40.0)])
 def test_overflowing_w_ladder_is_no_convergence(r0, r):
-    # nearly equal radii: the forward W run leaves the double range before
-    # the (r0/r)^l decay meets tolerance; the sum must refuse, not truncate
+    # nearly equal radii, or radii large enough that the terms leave the
+    # double range at l = 139 (r0 = 30, r = 40): the forward W run overflows
+    # before the (r0/r)^l decay meets tolerance, and the sum must refuse,
+    # not truncate, in the full form and in its gamma = 0 and gamma = pi forms
     with pytest.raises(NoConvergence):
         verify_whittaker_addition(0.3, geometry_from(r, r0, 1.0))
+    with pytest.raises(NoConvergence):
+        verify_gamma_zero(0.3, r0, r)
+    with pytest.raises(NoConvergence):
+        verify_gamma_pi(0.3, r0, r)

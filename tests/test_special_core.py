@@ -1,5 +1,6 @@
 """Scalar special functions against closed forms, scipy, and golden values."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,11 +11,12 @@ from scipy import special as sp
 
 from helpers import assert_rel, golden_value, rel
 from whitadd.errors import IndexOutOfRange, PoleAtNonpositiveB, PoleHit, UnsupportedOrder
-from whitadd.scalar import extended
+from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import (
     bessel_modified,
     binomial,
     gegenbauer_c,
+    gegenbauer_ladder,
     inverse_pochhammer,
     kummer_m,
     kummer_u,
@@ -79,8 +81,14 @@ def test_pochhammer_ratio():
 def test_legendre_polynomial_values():
     assert legendre_p(2, 0, 0.5) == -0.125
     assert legendre_p(0, 0, 0.3) == 1
-    for l in range(11):
-        assert legendre_p(l, 0, 1.0) == pytest.approx(1.0)
+    # the partial-wave series take P_l(+-1) from the ladder with no endpoint
+    # shortcut, so the endpoint values must come out exact
+    for ctx in (HARDWARE, extended(50)):
+        half, one = ctx.convert(1) / 2, ctx.convert(1)
+        for x in (one, -one):
+            run = itertools.islice(gegenbauer_ladder(half, x), 2001)
+            for l, p in enumerate(run):
+                assert p == (x if l % 2 else one), f"l={l} x={x} {ctx.kind}"
     # exact over the rationals when m = 0
     assert legendre_p(3, 0, Fraction(1, 2)) == Fraction(-7, 16)
 
