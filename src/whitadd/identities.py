@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -52,6 +51,7 @@ from .special_core import (
     spherical_harmonic,
     whittaker_m,
     whittaker_w,
+    whittaker_with_derivative,
 )
 from .summation import (
     SeriesOptions,
@@ -73,8 +73,13 @@ KAPPA_GUARD = 1e-3
 # escalation ladder for the badly cancelling pi-form series
 ESCALATION_DIGITS = (60, 120, 240)
 
-# orders per backward M block: two direct evaluations seed each block
-M_BLOCK = 16
+# orders per backward run of M ratios; a continued fraction seeds each run's
+# top order, so a longer run costs fewer fractions and wastes more ratios
+# past the order where the series stops
+M_RATIO_RUN = 32
+
+# iterations after which the continued fraction of an M ratio is abandoned
+CF_MAX_TERMS = 10_000
 
 # the forward W step divides by nu+1-kappa; closer than this to zero (kappa
 # near a bound-state pole) the next order is evaluated directly instead
@@ -248,12 +253,10 @@ def hostler_bracket(kappa, x_half, y_half, ctx):
     with derivative exactly 1 at the origin.
     """
     order = (kappa, ctx.convert(1) / 2)
-    w = whittaker_w(order, x_half, ctx=ctx)
     if float(ctx.mag(y_half)) == 0.0:
-        return w
-    wp = whittaker_w(order, x_half, deriv=True, ctx=ctx)
-    m = whittaker_m(order, y_half, ctx=ctx)
-    mp = whittaker_m(order, y_half, deriv=True, ctx=ctx)
+        return whittaker_w(order, x_half, ctx=ctx)
+    w, wp = whittaker_with_derivative("W", order, x_half, ctx)
+    m, mp = whittaker_with_derivative("M", order, y_half, ctx)
     return mp * w - m * wp
 
 
@@ -293,13 +296,35 @@ def _term_product(base, mv, wv, p_val, ell, ctx):
     return t  # a true underflow: the term is negligible
 
 
-def _seeds_usable(ctx, *seeds) -> bool:
-    """False when a hardware seed is not a normal double: a block recurred
-    from a flushed or subnormal seed would be zero or carry few bits."""
-    if ctx.kind != "hardware":
-        return True
-    return all(math.isfinite(m) and m >= sys.float_info.min
-               for m in map(ctx.mag, seeds))
+def _m_ratio(j: int, abc, ctx):
+    """rho_j = M_j/M_{j-1} of the minimal solution, from its continued fraction
+
+        rho_j = c_j / (-b_j + a_j c_{j+1} / (-b_{j+1} + a_{j+1} c_{j+2} / ...)),
+
+    where a_i, b_i, c_i = abc(i) are the coefficients of the M recurrence
+    a_i M_{i+1} = b_i M_i + c_i M_{i-1}.  Evaluated by modified Lentz
+    (Thompson & Barnett, J. Comput. Phys. 64 (1986) 490) until a step
+    changes it by at most ctx.eps; a vanishing a_i ends the fraction exactly.
+    """
+    tiny = ctx.convert(1e-300)
+    a, b, c = abc(j)
+    f = -b if b != 0 else tiny
+    num_ratio, den_ratio = f, 0
+    for n in range(1, CF_MAX_TERMS):
+        a_next, b_n, c_n = abc(j + n)
+        part = a * c_n  # the partial numerator a_{j+n-1} c_{j+n}
+        den_ratio = -b_n + part * den_ratio
+        den_ratio = 1 / (den_ratio if den_ratio != 0 else tiny)
+        num_ratio = -b_n + part / num_ratio
+        if num_ratio == 0:
+            num_ratio = tiny
+        delta = num_ratio * den_ratio
+        f = f * delta
+        if ctx.mag(delta - 1) <= ctx.eps:
+            return c / f
+        a = a_next
+    raise NoConvergence(f"M ratio continued fraction at order {j} did not "
+                        f"converge in {CF_MAX_TERMS} terms")
 
 
 def _mu_ladder(kind: str, k, mu0, z, ctx):
@@ -307,51 +332,62 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
     l = 0, 1, 2, ... from a few direct evaluations and the three-term
     recurrences in the order stated in ``addition_terms``.
 
-    W runs forward from its values at mu0 and mu0+1; a step whose divisor
-    nu+1-k lies within W_STEP_GUARD of zero is replaced by a direct
-    evaluation.  M is evaluated per order below l_t = ceil(sqrt|z|), then
-    backward through blocks of M_BLOCK orders, each seeded by direct
-    evaluations at its top two orders; a hardware block whose seeds are not
-    normal doubles is evaluated per order, so _term_product still sees
-    every underflow.  ``k``, ``mu0`` and ``z`` are values of ``ctx``.
+    W runs forward from its values at mu0 and mu0+1; the one step (if any)
+    whose divisor nu+1-k lies within W_STEP_GUARD of zero is replaced by a
+    direct evaluation.  M is evaluated per order below l_t = ceil(sqrt|z|)
+    and continued past it as M_l = M_{l-1} rho_l with the ratios
+    rho_l = M_l/M_{l-1} of the minimal solution, in runs of M_RATIO_RUN
+    orders: the ratio at a run's top order comes from the continued fraction
+    (``_m_ratio``), the ones below it from the backward ratio recurrence
+    rho_l = c_l/(a_l rho_{l+1} - b_l), where a_l, b_l, c_l are the
+    coefficients of the M recurrence a_l M_{l+1} = b_l M_l + c_l M_{l-1}.
+    No M is evaluated directly from l_t on, and on hardware a run that
+    leaves the double range underflows gradually, as the direct values do.
+    ``k``, ``mu0`` and ``z`` are values of ``ctx``.
     """
     half = ctx.convert(1) / 2
     if kind == "W":
+        # nu+1-k = mu0+l+1/2-k is nearest zero at the two orders around
+        # Re(k-mu0-1/2); the test is the step's own divisor, bit for bit
+        d = float(ctx.re(k - mu0 - half))
+        near = math.floor(d) if math.isfinite(d) else -1
+        guarded = {ell for ell in (near, near + 1)
+                   if ell >= 1 and ctx.mag(mu0 + ell - half + 1 - k) < W_STEP_GUARD}
         prev = whittaker_w((k, mu0), z, ctx=ctx)
         yield prev
         cur = whittaker_w((k, mu0 + 1), z, ctx=ctx)
         ell = 1
         while True:
             yield cur
-            nu = mu0 + ell - half
-            if ctx.mag(nu + 1 - k) < W_STEP_GUARD:
+            if ell in guarded:
                 nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
             else:
+                nu = mu0 + ell - half
                 nxt = ((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * cur
                        + (nu + 1) * (nu + k) * prev) / (nu * (nu + 1 - k))
             prev, cur = cur, nxt
             ell += 1
+
+    def abc(j):
+        nu = mu0 + j - half
+        return (nu * ((nu + 1) ** 2 - k * k) / ((nu + 1) * (2 * nu + 3)),
+                2 * (2 * nu + 1) * (k - 2 * nu * (nu + 1) / z),
+                4 * nu * (nu + 1) * (2 * nu + 1))
+
     ell_t = math.ceil(math.sqrt(ctx.mag(z)))
     for ell in range(ell_t):
-        yield whittaker_m((k, mu0 + ell), z, ctx=ctx)
-    lo = ell_t
-    while True:
-        hi = lo + M_BLOCK - 1
-        block = [whittaker_m((k, mu0 + hi), z, ctx=ctx),
-                 whittaker_m((k, mu0 + hi - 1), z, ctx=ctx)]
-        if _seeds_usable(ctx, *block):
-            # block[-1] is M at order j, block[-2] at j+1; append order j-1
-            for j in range(hi - 1, lo, -1):
-                nu = mu0 + j - half
-                a = nu * ((nu + 1) ** 2 - k * k) / ((nu + 1) * (2 * nu + 3))
-                b = 2 * (2 * nu + 1) * (k - 2 * nu * (nu + 1) / z)
-                block.append((a * block[-2] - b * block[-1])
-                             / (4 * nu * (nu + 1) * (2 * nu + 1)))
-        else:
-            block += [whittaker_m((k, mu0 + j), z, ctx=ctx)
-                      for j in range(hi - 2, lo - 1, -1)]
-        yield from reversed(block)
-        lo = hi + 1
+        m = whittaker_m((k, mu0 + ell), z, ctx=ctx)
+        yield m
+    for lo in itertools.count(ell_t, M_RATIO_RUN):
+        rho = _m_ratio(lo + M_RATIO_RUN - 1, abc, ctx)
+        ratios = [rho]
+        for j in range(lo + M_RATIO_RUN - 2, lo - 1, -1):
+            a, b, c = abc(j)
+            rho = c / (a * rho - b)
+            ratios.append(rho)
+        for rho in reversed(ratios):
+            m = m * rho
+            yield m
 
 
 def _coefficients(k, first: int, c):
@@ -387,14 +423,16 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
             = 2(2nu+1)(k - 2nu(nu+1)/z) M_{k,mu}(z)
               + 4nu(nu+1)(2nu+1) M_{k,mu-1}(z)
 
-    W is the dominant solution as mu grows and is recurred forward; M is
-    minimal and is recurred backward, which is stable only past the turning
-    index l_t = ceil(sqrt|z|): below it M grows with the order, so it is
-    evaluated per order there.  This is the scheme of the Coulomb
-    l-recurrences (DLMF §33.4; Barnett's COULFG, Comput. Phys. Commun. 27
-    (1982) 147; Thompson & Barnett's COULCC, J. Comput. Phys. 64 (1986)
-    490).  A whole run of L orders costs a few direct evaluations plus O(L)
-    arithmetic instead of 2L evaluations.
+    W is the dominant solution as mu grows and is recurred forward from two
+    direct evaluations.  M is the minimal solution: it is evaluated per
+    order below the turning index l_t = ceil(sqrt|z|), where it still grows
+    with the order, and continued past it by its ratios M_l/M_{l-1}, which
+    the backward ratio recurrence and its continued fraction give stably
+    (Gautschi, SIAM Rev. 9 (1967) 24; the Coulomb l-recurrences of DLMF
+    §33.4, Barnett's COULFG, Comput. Phys. Commun. 27 (1982) 147, and
+    Thompson & Barnett's COULCC, J. Comput. Phys. 64 (1986) 490).  A run of
+    L orders costs l_t + 2 direct evaluations plus O(L) arithmetic instead
+    of 2L evaluations.
     """
     def factory(ctx):
         k = ctx.convert(kappa)

@@ -156,6 +156,14 @@ def pochhammer_ratio(a, b, n: int, ctx=None):
 # orthogonal polynomial families (generic three-term recurrences)
 # ---------------------------------------------------------------------------
 
+def _exact(*args) -> tuple:
+    """args with every int made a Fraction when all of them are ints or
+    Fractions, so the recurrences' true divisions stay exact; else args."""
+    if all(isinstance(v, (int, Fraction)) for v in args):
+        return tuple(Fraction(v) for v in args)
+    return args
+
+
 def _check_degree(l, name="l"):
     if not isinstance(l, int) or l < 0:
         raise IndexOutOfRange(f"{name} must be a non-negative integer, got {l!r}")
@@ -165,7 +173,7 @@ def legendre_p(l: int, m: int = 0, x=0.0):
     """Associated Legendre P_l^m(x) on [-1, 1], Condon-Shortley phase included.
 
     m = 0 gives the Legendre polynomial P_l(x); that path is a pure field
-    recurrence and stays exact for Fraction input. Negative m uses
+    recurrence and returns a Fraction for int or Fraction x. Negative m uses
     P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m.
     """
     _check_degree(l)
@@ -179,6 +187,7 @@ def legendre_p(l: int, m: int = 0, x=0.0):
         return legendre_p(l, m, x) * sign * num / den
 
     if m == 0:
+        x, = _exact(x)
         return next(itertools.islice(gegenbauer_ladder((x * 0 + 1) / 2, x), l, None))
 
     if isinstance(x, Fraction):
@@ -215,11 +224,12 @@ def gegenbauer_c(l: int, mu, x):
 def gegenbauer_ladder(mu, x):
     """Yield C_0^{(mu)}(x), C_1^{(mu)}(x), C_2^{(mu)}(x), ... without end.
 
-    Recurrence l C_l = 2x(l+mu-1) C_{l-1} - (l+2mu-2) C_{l-2}; exact for
-    exact inputs.  mu = 1/2 gives the Legendre polynomials, with the same
-    rounding as the Legendre recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1},
-    and exactly (+-1)^l at x = +-1.
+    Recurrence l C_l = 2x(l+mu-1) C_{l-1} - (l+2mu-2) C_{l-2}; exact
+    (Fraction) when mu and x are ints or Fractions.  mu = 1/2 gives the
+    Legendre polynomials, with the same rounding as the Legendre recurrence
+    (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, and exactly (+-1)^l at x = +-1.
     """
+    mu, x = _exact(mu, x)
     c_prev = x * 0 + 1
     yield c_prev
     c = 2 * mu * x
@@ -234,9 +244,10 @@ def laguerre(n: int, alpha=0, x=0.0):
     """Generalized Laguerre polynomial L_n^{(alpha)}(x).
 
     Recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1};
-    exact for Fraction inputs, accepts complex x.
+    exact (Fraction) when alpha and x are ints or Fractions, accepts complex x.
     """
     _check_degree(n, "n")
+    alpha, x = _exact(alpha, x)
     p_prev = x * 0 + 1
     if n == 0:
         return p_prev
@@ -500,56 +511,68 @@ def kummer_u(a, b, z, ctx=None):
 # Whittaker functions
 # ---------------------------------------------------------------------------
 
-def whittaker_m(order, r, deriv: bool = False, ctx=None):
-    """Whittaker function M_{kappa,mu}(r) = e^{-r/2} r^{mu+1/2} 1F1(a;b;r),
-    with a = mu - kappa + 1/2, b = 2 mu + 1, or its first r-derivative.
-
-    The derivative uses the contiguous relation
-    M' = (-1/2 + (mu+1/2)/r) M + (a/b) e^{-r/2} r^{mu+1/2} 1F1(a+1;b+1;r),
-    never finite differences. Complex r is accepted on the principal branch
-    of r^{mu+1/2} (single-valued whenever 2mu+1 is a positive integer, which
-    is the only complex-argument use in this package).
-    """
+def _whittaker_parts(kind: str, order, r, ctx):
+    """ctx, mu, 1/2, a = mu - kappa + 1/2, b = 2 mu + 1, r and the prefactor
+    e^{-r/2} r^{mu+1/2} shared by M and W, all in the context's arithmetic."""
     kappa, mu = _order(order)
     ctx = resolve(ctx)
     kappa = ctx.convert(kappa)
     mu = ctx.convert(mu)
     r = ctx.convert(r)
-    if ctx.mag(r) == 0:
+    if kind == "M" and ctx.mag(r) == 0:
         raise UnsupportedRegion("whittaker_m requires r != 0")
     half = ctx.convert(1) / 2
-    a = mu - kappa + half
-    b = 2 * mu + 1
     prefactor = ctx.exp(-r / 2) * ctx.power(r, mu + half)
-    f = kummer_m(a, b, r, ctx)
-    if not deriv:
-        return prefactor * f
-    df = (a / b) * kummer_m(a + 1, b + 1, r, ctx)
-    return (-half + (mu + half) / r) * prefactor * f + prefactor * df
+    return ctx, mu, half, mu - kappa + half, 2 * mu + 1, r, prefactor
+
+
+def whittaker_with_derivative(kind: str, order, r, ctx=None):
+    """(M_{kappa,mu}(r), M'_{kappa,mu}(r)) for kind "M", or (W, W') for kind
+    "W", from two Kummer evaluations.  With a = mu - kappa + 1/2, b = 2 mu + 1
+    the derivatives are the contiguous relations
+
+        M' = (-1/2 + (mu+1/2)/r) M + (a/b) e^{-r/2} r^{mu+1/2} 1F1(a+1;b+1;r)
+        W' = (-1/2 + (mu+1/2)/r) W - a e^{-r/2} r^{mu+1/2} U(a+1,b+1,r)
+
+    never finite differences; ``whittaker_m`` and ``whittaker_w`` with
+    ``deriv=True`` return the second element.
+    """
+    ctx, mu, half, a, b, r, prefactor = _whittaker_parts(kind, order, r, ctx)
+    if kind == "M":
+        f = kummer_m(a, b, r, ctx)
+        df = (a / b) * kummer_m(a + 1, b + 1, r, ctx)
+    else:
+        f = kummer_u(a, b, r, ctx)
+        df = -a * kummer_u(a + 1, b + 1, r, ctx)
+    return prefactor * f, (-half + (mu + half) / r) * prefactor * f + prefactor * df
+
+
+def whittaker_m(order, r, deriv: bool = False, ctx=None):
+    """Whittaker function M_{kappa,mu}(r) = e^{-r/2} r^{mu+1/2} 1F1(a;b;r),
+    with a = mu - kappa + 1/2, b = 2 mu + 1, or its first r-derivative (see
+    ``whittaker_with_derivative``).
+
+    Complex r is accepted on the principal branch of r^{mu+1/2}
+    (single-valued whenever 2mu+1 is a positive integer, which is the only
+    complex-argument use in this package).
+    """
+    if deriv:
+        return whittaker_with_derivative("M", order, r, ctx)[1]
+    ctx, _, _, a, b, r, prefactor = _whittaker_parts("M", order, r, ctx)
+    return prefactor * kummer_m(a, b, r, ctx)
 
 
 def whittaker_w(order, r, deriv: bool = False, ctx=None):
     """Whittaker function W_{kappa,mu}(r) = e^{-r/2} r^{mu+1/2} U(a,b,r) for
-    real r > 0, or its first r-derivative via
-    W' = (-1/2 + (mu+1/2)/r) W - a e^{-r/2} r^{mu+1/2} U(a+1,b+1,r).
+    real r > 0, or its first r-derivative (see ``whittaker_with_derivative``).
 
     mu = l + 1/2 makes b = 2l + 2 a positive integer and routes U through its
     logarithmic case.
     """
-    kappa, mu = _order(order)
-    ctx = resolve(ctx)
-    kappa = ctx.convert(kappa)
-    mu = ctx.convert(mu)
-    r = ctx.convert(r)
-    half = ctx.convert(1) / 2
-    a = mu - kappa + half
-    b = 2 * mu + 1
-    prefactor = ctx.exp(-r / 2) * ctx.power(r, mu + half)
-    u = kummer_u(a, b, r, ctx)
-    if not deriv:
-        return prefactor * u
-    du = -a * kummer_u(a + 1, b + 1, r, ctx)
-    return (-half + (mu + half) / r) * prefactor * u + prefactor * du
+    if deriv:
+        return whittaker_with_derivative("W", order, r, ctx)[1]
+    ctx, _, _, a, b, r, prefactor = _whittaker_parts("W", order, r, ctx)
+    return prefactor * kummer_u(a, b, r, ctx)
 
 
 def bessel_modified(nu, z, kind: str, ctx=None):

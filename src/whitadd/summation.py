@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ class _Accumulator:
             si, self._c_im = self._neumaier(tr.imag, self._c_im, complex(term).imag)
             self.total = complex(sr, si)
         else:
-            self.total, self._c_re = self._neumaier(float(self.total), self._c_re, float(term))
+            self.total, self._c_re = self._neumaier(self.total, self._c_re, term)
 
     def value(self):
         if not self.compensate:
@@ -116,7 +117,7 @@ class _Accumulator:
 RATIO_WINDOW = 32
 
 
-def _tail_from_ratio(mags):
+class _TailWindow:
     """Geometric tail bound from the decay observed over a trailing window.
 
     Single-step ratios are useless when the terms carry an oscillating or
@@ -134,24 +135,67 @@ def _tail_from_ratio(mags):
     evaluations on smooth series and prevents a premature stop on modulated
     ones.  Fewer than four terms give no estimate (an infinite tail), which
     is what keeps ``sum_series`` from stopping on its first terms.
+
+    The window is mags[start:n], start = max(0, n - RATIO_WINDOW), with head
+    half mags[start:mid] and tail half mags[mid:n], mid = start + (n-start)//2.
+    Both halves only move right, so each keeps its running maximum in a
+    monotonic deque of indices and a term costs O(1) work, not a rescan of
+    the window.  NaN magnitudes stay out of the deques; a half's peak is NaN
+    when its first magnitude is, else the largest of the others, which is
+    what ``max`` over the half gives.
     """
-    window = mags[-RATIO_WINDOW:]
-    if len(window) < 4:
-        return math.inf
-    if all(m == 0.0 for m in window):
-        # underflowed or exactly terminated, but only trust a full window
-        return 0.0 if len(mags) >= RATIO_WINDOW else math.inf
-    half = len(window) // 2
-    m_head = max(window[:half])
-    m_tail = max(window[half:])
-    if m_tail == 0.0:
-        return 0.0  # the trailing half underflowed entirely
-    if m_head == 0.0:
-        return math.inf
-    q = (m_tail / m_head) ** (1.0 / half)
-    if not q < 1.0:
-        return math.inf
-    return max(m_head, m_tail) * q / (1.0 - q)
+
+    def __init__(self):
+        self._mags: list[float] = []
+        self._head: deque = deque()
+        self._tail: deque = deque()
+        self._mid = 0
+        self._last_nan = -1
+
+    def push(self, mag: float) -> float:
+        """Append one term magnitude and return the tail bound."""
+        mags = self._mags
+        mags.append(mag)
+        n = len(mags)
+        head, tail = self._head, self._tail
+        if mag == mag:
+            while tail and mags[tail[-1]] <= mag:
+                tail.pop()
+            tail.append(n - 1)
+        else:
+            self._last_nan = n - 1
+        if n > RATIO_WINDOW:
+            start, mid = n - RATIO_WINDOW, n - RATIO_WINDOW // 2
+        else:
+            start, mid = 0, n // 2
+        # start and mid advance by at most one per term, so at most one
+        # magnitude enters the head half and one index leaves each deque
+        if self._mid < mid:
+            self._mid = mid
+            m = mags[mid - 1]
+            if m == m:
+                while head and mags[head[-1]] <= m:
+                    head.pop()
+                head.append(mid - 1)
+        if head and head[0] < start:
+            head.popleft()
+        if tail and tail[0] < mid:
+            tail.popleft()
+        if n < 4:
+            return math.inf
+        m_head = mags[start] if mags[start] != mags[start] else mags[head[0]]
+        m_tail = mags[mid] if mags[mid] != mags[mid] else mags[tail[0]]
+        if self._last_nan < start and m_head == 0.0 and m_tail == 0.0:
+            # underflowed or exactly terminated, but only trust a full window
+            return 0.0 if n >= RATIO_WINDOW else math.inf
+        if m_tail == 0.0:
+            return 0.0  # the trailing half underflowed entirely
+        if m_head == 0.0:
+            return math.inf
+        q = (m_tail / m_head) ** (1.0 / (mid - start))
+        if not q < 1.0:
+            return math.inf
+        return max(m_head, m_tail) * q / (1.0 - q)
 
 
 def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
@@ -180,8 +224,9 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     stream = terms(ctx) if callable(terms) else terms
 
     acc = _Accumulator(ctx)
+    window = _TailWindow()
+    hardware = ctx.kind == "hardware"
     abs_sum = ctx.convert(0)
-    mags: list[float] = []
     max_mag = 0.0
     tail = math.inf
     passes = 0
@@ -201,16 +246,24 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
             # the stream is finite and complete: its true tail is zero
             tail = 0.0
             break
-        term = ctx.convert(term)
+        if hardware:
+            # hardware terms are float or complex once converted, and abs()
+            # of one is exactly its ctx.mag
+            if type(term) is not float and type(term) is not complex:
+                term = ctx.convert(term)
+            mag = abs(term)
+        else:
+            term = ctx.convert(term)
+            mag = ctx.mag(term)
         acc.add(term)
-        mag = ctx.mag(term)
         abs_sum = abs_sum + mag
-        mags.append(float(mag))
-        max_mag = max(max_mag, float(mag))
+        if mag > max_mag:
+            max_mag = mag
         n += 1
-        tail = _tail_from_ratio(mags)
-        value_mag = ctx.mag(acc.value())
-        if tail <= options.rel_tol * max(float(value_mag), 1e-300):
+        tail = window.push(mag)
+        value = acc.value()
+        value_mag = abs(value) if hardware else ctx.mag(value)
+        if tail <= options.rel_tol * max(value_mag, 1e-300):
             passes += 1
             if passes >= CONSECUTIVE_PASSES:
                 break

@@ -7,9 +7,10 @@ import math
 import mpmath
 import pytest
 
-from whitadd import identities
+from whitadd import identities, special_core
 from whitadd.errors import NoConvergence
-from whitadd.identities import (_mu_ladder, geometry_from, verify_gamma_pi,
+from whitadd.green import CoulombParams, SphericalPoint, partial_wave_green
+from whitadd.identities import (_mu_ladder, geometry_from, hostler_bracket, verify_gamma_pi,
                                 verify_gamma_zero, verify_whittaker_addition)
 from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import whittaker_m, whittaker_w
@@ -123,10 +124,11 @@ def test_addition_near_pole_no_worse_than_per_order(n, precision, monkeypatch):
             f"kappa={kappa}: ladder {ladder:.2e}, per order {direct:.2e}")
 
 
-def test_hardware_m_block_with_underflowing_seeds_falls_back_per_order():
-    # M ~ z^(l+1): at z = 1e-3 the seeds of the block ending at order 112
-    # flush to zero while its lowest orders are still normal doubles; a block
-    # recurred from those seeds would be zeros
+def test_hardware_m_ratio_run_underflows_like_the_direct_values():
+    # M ~ z^(l+1): at z = 1e-3 the values leave the normal doubles near
+    # order 100, inside a run of ratios; the product M_(l-1) rho_l must stay
+    # accurate while the direct value is normal and then underflow gradually,
+    # not flush a whole run to zero
     run = list(itertools.islice(_mu_ladder("M", 0.3, 0.5, 1e-3, HARDWARE), 130))
     normal = 0
     for l, value in enumerate(run):
@@ -135,6 +137,65 @@ def test_hardware_m_block_with_underflowing_seeds_falls_back_per_order():
             normal += 1
             assert abs(value - direct) <= 1e-13 * abs(direct), f"l={l}"
     assert 100 < normal < 130
+
+
+# a_j = nu((nu+1)^2 - k^2)/((nu+1)(2nu+3)) vanishes at kappa = mu0 + j + 1/2:
+# at z = 3 (l_t = 2) j = 5 lies inside the first run of ratios; at z = 0.2
+# (l_t = 1) j = M_RATIO_RUN is the top of that run, where the continued
+# fraction starts, and j = M_RATIO_RUN + 1 its next partial numerator.  The
+# direct orders below j are terminating 1F1 polynomials that cancel, so z
+# stays small enough for them to keep 50 digits
+@pytest.mark.parametrize("kappa, mu0, z", [
+    (6, 0.5, 3.0), (7.25, 0.75, 3.0),
+    (identities.M_RATIO_RUN + 1, 0.5, 0.2), (identities.M_RATIO_RUN + 2, 0.5, 0.2)])
+def test_m_ladder_where_a_recurrence_coefficient_vanishes(kappa, mu0, z):
+    ctx = extended(50)
+    run = list(itertools.islice(
+        _mu_ladder("M", ctx.convert(kappa), ctx.convert(mu0), ctx.convert(z), ctx), ORDERS))
+    with mpmath.workdps(60):
+        for l, value in enumerate(run):
+            ref = mpmath.whitm(kappa, mpmath.mpf(mu0) + l, z)
+            assert _gap(value, ref) < 1e-49, f"l={l}"
+
+
+def test_work_per_point(monkeypatch):
+    # the Hostler bracket takes (W, W') and (M, M') from two Kummer calls
+    # each; the partial-wave sum evaluates M directly only below l_t
+    calls = {"kummer_m": 0, "kummer_u": 0}
+
+    def counted(name):
+        fn = getattr(special_core, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(special_core, name, counted(name))
+    for ctx in (HARDWARE, extended(30)):
+        for kappa, x_half, y_half in ((0.3, 4.2, 1.1), (-1.7, 9.5, 0.02), (2.6, 20.0, 6.0)):
+            calls.update(kummer_m=0, kummer_u=0)
+            hostler_bracket(ctx.convert(kappa), ctx.convert(x_half), ctx.convert(y_half), ctx)
+            assert calls == {"kummer_m": 2, "kummer_u": 2}, (kappa, ctx.kind)
+
+    direct_orders = []
+
+    def whittaker_m_counted(order, r, deriv=False, ctx=None):
+        direct_orders.append(order[1])
+        return whittaker_m(order, r, deriv=deriv, ctx=ctx)
+
+    monkeypatch.setattr(identities, "whittaker_m", whittaker_m_counted)
+    for g, k, r, r0 in ((1.0, 0.8, 3.0, 1.2), (0.3, 2.4, 7.5, 5.1), (2.2, 0.35, 0.9, 0.4)):
+        direct_orders.clear()
+        p = SphericalPoint(r, 0.7, 0.1)
+        p0 = SphericalPoint(r0, 1.9, 2.3)
+        try:
+            partial_wave_green(CoulombParams(g, k), p, p0)
+        except NoConvergence:
+            pass
+        ell_t = math.ceil(math.sqrt(2 * k * min(r, r0)))
+        assert direct_orders == [l + 0.5 for l in range(ell_t)], (g, k, r, r0)
 
 
 @pytest.mark.parametrize("r0, r", [(2.0, 2.1), (0.05, 0.055), (30.0, 40.0)])

@@ -132,6 +132,48 @@ def test_gegenbauer_values():
         gegenbauer_c(2, -1.0, 0.5)
 
 
+def _rising(a, n):
+    return math.prod((a + j for j in range(n)), start=Fraction(1))
+
+
+def _legendre_sum(l, x):
+    # P_l(x) = 2^-l sum_k (-1)^k C(l,k) C(2l-2k,l) x^(l-2k)
+    return sum(Fraction((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l), 2 ** l)
+               * x ** (l - 2 * k) for k in range(l // 2 + 1))
+
+
+def _gegenbauer_sum(n, mu, x):
+    # C_n^(mu)(x) = sum_k (-1)^k (mu)_(n-k) (2x)^(n-2k) / (k! (n-2k)!)
+    return sum((-1) ** k * _rising(Fraction(mu), n - k) * (2 * x) ** (n - 2 * k)
+               / (math.factorial(k) * math.factorial(n - 2 * k)) for k in range(n // 2 + 1))
+
+
+def _laguerre_sum(n, alpha, x):
+    # L_n^(alpha)(x) = sum_k (-1)^k C(n+alpha, n-k) x^k / k!
+    return sum((-1) ** k * _rising(Fraction(alpha) + k + 1, n - k) / math.factorial(n - k)
+               * Fraction(x) ** k / math.factorial(k) for k in range(n + 1))
+
+
+def test_polynomials_exact_for_int_and_fraction_inputs():
+    # integer inputs used to fall into float division from degree 2 on
+    # (laguerre(2, 0, 1) was -0.5, gegenbauer_c(2, 1, 1) was 3.0)
+    for l, x in itertools.product(range(6), (1, -2, 0, Fraction(1, 3))):
+        got = legendre_p(l, 0, x)
+        assert type(got) is Fraction and got == _legendre_sum(l, x), f"P_{l}({x})"
+        for mu in (1, 2, Fraction(3, 2)):
+            got = gegenbauer_c(l, mu, x)
+            assert type(got) is Fraction and got == _gegenbauer_sum(l, mu, x), (
+                f"C_{l}^({mu})({x})")
+        for alpha in (0, 2, Fraction(1, 2)):
+            got = laguerre(l, alpha, x)
+            assert type(got) is Fraction and got == _laguerre_sum(l, alpha, x), (
+                f"L_{l}^({alpha})({x})")
+    # a float anywhere keeps the float path
+    assert type(laguerre(2, 0, 1.0)) is float and laguerre(2, 0, 1.0) == -0.5
+    assert type(gegenbauer_c(2, 1.0, 1)) is float
+    assert type(legendre_p(2, 0, 0.5)) is float
+
+
 def test_laguerre_exact_rational(golden):
     want = golden_value(golden, "laguerre_exact_rational")
     got = laguerre(3, 2, Fraction(11, 10))

@@ -1,14 +1,17 @@
 """The summation engine: diagnostics, stopping rules, tail estimators."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import assert_rel, rel
+from whitadd import summation
 from whitadd.errors import GeometryViolation, NoConvergence
 from whitadd.scalar import HARDWARE
 from whitadd.summation import (
+    RATIO_WINDOW,
     SeriesOptions,
     context_for,
     exact_rational_sum,
@@ -90,6 +93,90 @@ def test_parity_split_series_stops():
     out = sum_series(terms(), SeriesOptions(rel_tol=1e-12))
     assert out.n_terms <= 120
     assert_rel(out.value, 4.0 / 3.0, 1e-12)
+
+
+def _rescanned_tail(mags):
+    """The tail bound recomputed from the whole trailing window, as
+    sum_series did on every term before it kept running maxima."""
+    window = mags[-RATIO_WINDOW:]
+    if len(window) < 4:
+        return math.inf
+    if all(m == 0.0 for m in window):
+        return 0.0 if len(mags) >= RATIO_WINDOW else math.inf
+    half = len(window) // 2
+    m_head = max(window[:half])
+    m_tail = max(window[half:])
+    if m_tail == 0.0:
+        return 0.0
+    if m_head == 0.0:
+        return math.inf
+    q = (m_tail / m_head) ** (1.0 / half)
+    if not q < 1.0:
+        return math.inf
+    return max(m_head, m_tail) * q / (1.0 - q)
+
+
+class _RescanWindow:
+    def __init__(self):
+        self.mags = []
+
+    def push(self, mag):
+        self.mags.append(mag)
+        return _rescanned_tail(self.mags)
+
+
+def _magnitude_streams():
+    rng = random.Random(20240306)
+    special = (0.0, 1.0, 2.5, 1e-300, 5e-324, math.inf, math.nan)
+    for n in (1, 3, 4, 5, 17, 31, 32, 33, 64, 257):
+        for _ in range(25):
+            mags = []
+            for i in range(n):
+                u = rng.random()
+                if u < 0.15:
+                    mags.append(rng.choice(special))
+                elif u < 0.3 and mags:
+                    mags.append(rng.choice(mags))  # a tie with an earlier term
+                else:
+                    mags.append(rng.random() * 10.0 ** rng.randint(-30, 5) * 0.8 ** i)
+            yield mags
+    yield [1.0] * 10 + [0.0] * 60  # exactly terminated
+    yield [0.5 ** n for n in range(1200)]  # underflows to whole windows of zeros
+    yield [0.0] * 40
+    yield [3.0] * 50
+
+
+def test_running_tail_matches_window_rescan():
+    for mags in _magnitude_streams():
+        window = summation._TailWindow()
+        for n, mag in enumerate(mags, 1):
+            got, want = window.push(mag), _rescanned_tail(mags[:n])
+            assert repr(got) == repr(want), f"n={n} of {mags}"
+
+
+@pytest.mark.parametrize("stream, opts", [
+    (lambda: geometric(0.5), SeriesOptions(rel_tol=1e-12)),
+    (lambda: geometric(-0.97, 3.0), SeriesOptions(rel_tol=1e-14)),
+    (lambda: (0.5 ** n if n % 2 == 0 else 1e-17 * 0.5 ** n for n in range(10_000)),
+     SeriesOptions(rel_tol=1e-12)),
+    (lambda: (1.0 if n < 10 else 0.0 for n in range(10_000)), SeriesOptions(rel_tol=1e-12)),
+    (lambda: (complex(0.9, -0.4) ** n for n in range(10_000)), SeriesOptions(rel_tol=1e-13)),
+    (lambda: (Fraction(1, 3) ** n for n in range(10_000)),
+     SeriesOptions(rel_tol=1e-40, precision=("extended", 50))),
+    (lambda: geometric(0.999), SeriesOptions(rel_tol=1e-12, max_terms=500)),
+])
+def test_sum_series_stops_where_the_window_rescan_stops(stream, opts, monkeypatch):
+    def outcome():
+        try:
+            return sum_series(stream(), opts)
+        except NoConvergence as exc:
+            return exc.outcome
+
+    running = outcome()
+    monkeypatch.setattr(summation, "_TailWindow", _RescanWindow)
+    rescanned = outcome()
+    assert running.n_terms == rescanned.n_terms
+    assert repr(running) == repr(rescanned)
 
 
 def test_exactly_terminating_stream():
