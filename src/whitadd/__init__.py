@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalar import HARDWARE, ExtendedContext, HardwareContext, extended, resolve
 from .special_core import (
-    WhittakerOrder,
     bessel_modified,
     binomial,
     gegenbauer_c,
@@ -36,7 +35,6 @@ from .special_core import (
     legendre_p,
     log_pochhammer,
     pochhammer,
-    pochhammer_ratio,
     spherical_harmonic,
     whittaker_m,
     whittaker_w,

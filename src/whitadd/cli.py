@@ -14,7 +14,7 @@ quietly with 141, the 128 + SIGPIPE status a shell reports for ``yes | head``.
 
 Structured output:
 
-* JSON payloads carry ``"schema": 1`` and encode values the same way the
+* JSON payloads carry ``"schema": 2`` and encode values the same way the
   golden files do -- ``{"re": ..., "im": ...}`` decimal strings at 17
   significant digits, ``{"fraction": "p/q"}`` for exact rationals -- so a
   value printed by the CLI compares byte-for-byte against the library call
@@ -22,7 +22,11 @@ Structured output:
 * CSV rows use the fixed column order ``index``, one column per identity
   parameter (in the order listed by ``verify --list``), then ``lhs``,
   ``rhs``, ``abs_err``, ``rel_err``, ``n_terms``, ``condition_number``,
-  ``digits_lost``, ``exact``, ``passed``, ``error``.
+  ``digits_lost``, ``exact``, ``passed``, ``error``, ``precision``,
+  ``seconds``: the precision a row really ran at (``hardware`` or
+  ``extended(digits)``, empty for an exact or a raised row) and its wall time.
+  JSON rows carry the same two fields, the precision as ``"hardware"`` or
+  ``["extended", digits]``.
 * Human-readable tables round to 10 significant digits and print ``-``
   for diagnostics a closed-form route does not have.
 
@@ -78,7 +82,7 @@ from .summation import (DEFAULT_MAX_TERMS, SeriesOptions,
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_DIGITS = "WHITADD_DIGITS"
 
 # remark-5.3 stress configuration: kappa=1, mu=20, r0=1, r=2 summed at 60
@@ -607,6 +611,18 @@ def _print_rows(name: str, entry: IdentityEntry, rows: list, threshold) -> None:
     print(f"{name}: {good}/{len(rows)} passed ({bound})")
 
 
+def _precision_json(precision):
+    """"hardware", or ("extended", digits) as a JSON list."""
+    return list(precision) if isinstance(precision, tuple) else precision
+
+
+def _precision_text(precision) -> str:
+    """"hardware", "extended(digits)", or "" for None."""
+    if isinstance(precision, tuple):
+        return f"{precision[0]}({precision[1]})"
+    return "" if precision is None else str(precision)
+
+
 def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
                opts: SeriesOptions) -> dict:
     return {
@@ -615,8 +631,7 @@ def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
         "identity": name,
         "threshold": threshold,
         "opts": {"rel_tol": opts.rel_tol, "max_terms": opts.max_terms,
-                 "precision": list(opts.precision)
-                 if isinstance(opts.precision, tuple) else opts.precision},
+                 "precision": _precision_json(opts.precision)},
         "rows": [{
             "index": r.index,
             "params": {k: encode_param(v) for k, v in r.params.items()},
@@ -630,6 +645,8 @@ def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
             "exact": r.exact,
             "passed": r.passed,
             "error": r.error,
+            "precision": _precision_json(r.precision),
+            "seconds": r.seconds,
         } for r in rows],
         "passed": sum(r.passed for r in rows),
         "failed": sum(not r.passed for r in rows),
@@ -639,7 +656,7 @@ def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
 def _rows_csv(entry: IdentityEntry, rows: list, path: str) -> None:
     header = ["index", *entry.params, "lhs", "rhs", "abs_err", "rel_err",
               "n_terms", "condition_number", "digits_lost", "exact",
-              "passed", "error"]
+              "passed", "error", "precision", "seconds"]
     fh = sys.stdout if path == "-" else open(path, "w", newline="")
     try:
         writer = csv.writer(fh)
@@ -652,7 +669,8 @@ def _rows_csv(entry: IdentityEntry, rows: list, path: str) -> None:
                              _csv_cell(r.n_terms),
                              _csv_cell(r.condition_number),
                              _csv_cell(r.digits_lost), _csv_cell(r.exact),
-                             _csv_cell(r.passed), _csv_cell(r.error)])
+                             _csv_cell(r.passed), _csv_cell(r.error),
+                             _precision_text(r.precision), _csv_cell(r.seconds)])
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -306,6 +306,7 @@ def _m_ratio(j: int, abc, ctx):
     (Thompson & Barnett, J. Comput. Phys. 64 (1986) 490) until a step
     changes it by at most ctx.eps; a vanishing a_i ends the fraction exactly.
     """
+    eps, mag = ctx.eps, ctx.abs
     tiny = ctx.convert(1e-300)
     a, b, c = abc(j)
     f = -b if b != 0 else tiny
@@ -320,7 +321,7 @@ def _m_ratio(j: int, abc, ctx):
             num_ratio = tiny
         delta = num_ratio * den_ratio
         f = f * delta
-        if ctx.mag(delta - 1) <= ctx.eps:
+        if mag(delta - 1) <= eps:
             return c / f
         a = a_next
     raise NoConvergence(f"M ratio continued fraction at order {j} did not "
@@ -363,16 +364,20 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
                 nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
             else:
                 nu = mu0 + ell - half
-                nxt = ((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * cur
-                       + (nu + 1) * (nu + k) * prev) / (nu * (nu + 1 - k))
+                nu1, two_nu = nu + 1, 2 * nu
+                nxt = ((two_nu + 1) * (two_nu * nu1 / z - k) * cur
+                       + nu1 * (nu + k) * prev) / (nu * (nu1 - k))
             prev, cur = cur, nxt
             ell += 1
 
+    k2 = k * k
+
     def abc(j):
         nu = mu0 + j - half
-        return (nu * ((nu + 1) ** 2 - k * k) / ((nu + 1) * (2 * nu + 3)),
-                2 * (2 * nu + 1) * (k - 2 * nu * (nu + 1) / z),
-                4 * nu * (nu + 1) * (2 * nu + 1))
+        nu1, two_nu = nu + 1, 2 * nu
+        return (nu * (nu1 ** 2 - k2) / (nu1 * (two_nu + 3)),
+                2 * (two_nu + 1) * (k - two_nu * nu1 / z),
+                4 * nu * nu1 * (two_nu + 1))
 
     ell_t = math.ceil(math.sqrt(ctx.mag(z)))
     for ell in range(ell_t):

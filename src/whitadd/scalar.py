@@ -4,7 +4,12 @@ All function evaluators in this package are written once, generically, against
 the small interface below. Two implementations are provided:
 
 * ``HardwareContext`` -- native float/complex with scipy.special supplying the
-  gamma family. This is the default for every public entry point.
+  gamma family. This is the default for every public entry point. Once
+  converted, every hardware value is exactly a ``float`` or a ``complex``, so
+  ``convert`` and ``mag`` serve those two exact types first and return at
+  once (``mag`` is then plain ``abs``); every other type -- ``int``,
+  ``bool``, ``Fraction``, mpmath ``mpf``/``mpc``, numpy scalars and the
+  subclasses of ``float`` and ``complex`` -- takes the general path.
 * ``ExtendedContext`` -- arbitrary-precision arithmetic (mpmath) at a
   configurable number of significant decimal digits (>= 30, default 60). Used
   for oracle/golden-file generation and for identity verification whenever the
@@ -40,6 +45,8 @@ def is_nonpositive_integer(x) -> bool:
     _INTEGER_MATCH_TOL of a non-positive integer count as hits, since the
     branch they select is the only one that does not blow up there.
     """
+    if type(x) is float:
+        return x < 0.5 and abs(x - round(x)) <= _INTEGER_MATCH_TOL
     if isinstance(x, int):
         return x <= 0
     if isinstance(x, Fraction):
@@ -76,7 +83,7 @@ class HardwareContext:
         return math.pi
 
     def convert(self, x):
-        if isinstance(x, complex):
+        if type(x) is float or isinstance(x, complex):
             return x
         if isinstance(x, (int, float, Fraction)):
             return float(x)
@@ -88,7 +95,14 @@ class HardwareContext:
         return c.real if c.imag == 0.0 else c
 
     def mag(self, x) -> float:
+        t = type(x)
+        if t is float or t is complex:
+            return abs(x)
         return abs(self.convert(x))
+
+    # ``mag`` of a value already in this context's arithmetic, for the inner
+    # loops: such a value is a float or a complex, whose magnitude is abs()
+    abs = staticmethod(abs)
 
     def re(self, x) -> float:
         return self.convert(x).real if isinstance(x, complex) else float(x)
@@ -187,6 +201,8 @@ class ExtendedContext:
 
     def mag(self, x) -> float:
         return float(abs(self.convert(x)))
+
+    abs = mag
 
     def re(self, x):
         return self._mp.re(self.convert(x))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     IndexOutOfRange,
@@ -51,23 +50,6 @@ SMALL_Z_CUTOFF = 1e-8
 # is defensible
 ASYMPTOTIC_Z_SWITCH = 18.0
 
-# pochhammer_ratio switches to log accumulation beyond this factor count
-LOG_SCALE_N = 30
-
-
-class WhittakerOrder(NamedTuple):
-    """Order pair (kappa, mu) of the Whittaker functions M/W."""
-
-    kappa: complex
-    mu: complex
-
-
-def _order(order) -> tuple:
-    if isinstance(order, WhittakerOrder):
-        return order.kappa, order.mu
-    kappa, mu = order
-    return kappa, mu
-
 
 # ---------------------------------------------------------------------------
 # rising factorials and friends
@@ -85,14 +67,6 @@ def pochhammer(a, n: int):
     for j in range(n):
         result = result * (a + j)
     return result
-
-
-def inverse_pochhammer(a, n: int):
-    """1/(a)_n; raises PoleHit when a factor is exactly zero."""
-    p = pochhammer(a, n)
-    if p == 0:
-        raise PoleHit(f"({a})_{n} has a zero factor in a denominator position")
-    return 1 / p if not isinstance(p, int) else Fraction(1, p)
 
 
 def binomial(n: int, k: int) -> int:
@@ -118,38 +92,6 @@ def log_pochhammer(a, n: int, ctx=None):
             raise PoleHit(f"({a})_{n} contains an exactly zero factor")
         total = total + ctx.log(f)
     return total
-
-
-def pochhammer_ratio(a, b, n: int, ctx=None):
-    """(a)_n / (b)_n as a product of factor ratios.
-
-    Factor-by-factor division keeps every intermediate near the size of the
-    final answer; for n > 30 the accumulation moves to log space, which also
-    survives ratios whose numerator and denominator separately overflow.
-    Raises PoleHit when a denominator factor is exactly zero.
-    """
-    ctx = resolve(ctx)
-    a = ctx.convert(a)
-    b = ctx.convert(b)
-    if n <= LOG_SCALE_N:
-        result = ctx.convert(1)
-        for j in range(n):
-            den = b + j
-            if den == 0:
-                raise PoleHit(f"({b})_{n} has a zero factor at j={j}")
-            result = result * (a + j) / den
-        return result
-    # log-scaled: zeros in the numerator short-circuit to exact 0
-    total = ctx.convert(0)
-    for j in range(n):
-        num = a + j
-        den = b + j
-        if den == 0:
-            raise PoleHit(f"({b})_{n} has a zero factor at j={j}")
-        if num == 0:
-            return ctx.convert(0)
-        total = total + ctx.log(num) - ctx.log(den)
-    return ctx.exp(total)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +174,12 @@ def gegenbauer_ladder(mu, x):
     mu, x = _exact(mu, x)
     c_prev = x * 0 + 1
     yield c_prev
-    c = 2 * mu * x
+    two_mu, two_x = 2 * mu, 2 * x
+    c = two_mu * x
     k = 2
     while True:
         yield c
-        c, c_prev = (2 * x * (k + mu - 1) * c - (k + 2 * mu - 2) * c_prev) / k, c
+        c, c_prev = (two_x * (k + mu - 1) * c - (k + two_mu - 2) * c_prev) / k, c
         k += 1
 
 
@@ -296,6 +239,7 @@ def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
 
     Caller guarantees (b)_k never hits zero before the series terminates.
     """
+    eps, mag = ctx.eps, ctx.abs
     term = ctx.convert(1)
     total = term
     small = 0
@@ -306,7 +250,7 @@ def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
                 f"1F1 series denominator (b)_k vanished at b={b}, k={k}")
         term = term * (a + k) * z / (den * (k + 1))
         total = total + term
-        if ctx.mag(term) <= ctx.eps * ctx.mag(total):
+        if mag(term) <= eps * mag(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return total
@@ -342,30 +286,32 @@ def _hyp_u_asymptotic(a, b, z, ctx, max_terms=MAX_TERMS):
     and the achieved relative accuracy (the smallest term magnitude relative
     to the sum), which the caller compares against its target.
     """
+    eps, mag = ctx.eps, ctx.abs
     c = a - b + 1
+    neg_z = -z
     term = ctx.convert(1)
     total = term
     best_rel = 1.0
-    prev_mag = ctx.mag(term)
+    prev_mag = mag(term)
     small = 0
     for k in range(max_terms):
-        term = term * (a + k) * (c + k) / (-(z) * (k + 1))
-        mag = ctx.mag(term)
-        if mag > prev_mag:
+        term = term * (a + k) * (c + k) / (neg_z * (k + 1))
+        term_mag = mag(term)
+        if term_mag > prev_mag:
             # divergence sets in one term further; stop at the smallest term
-            best_rel = prev_mag / max(ctx.mag(total), 1e-300)
+            best_rel = prev_mag / max(mag(total), 1e-300)
             break
         total = total + term
-        prev_mag = mag
-        if mag <= ctx.eps * ctx.mag(total):
+        prev_mag = term_mag
+        if term_mag <= eps * mag(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
-                best_rel = float(ctx.eps)
+                best_rel = float(eps)
                 break
         else:
             small = 0
     else:
-        best_rel = prev_mag / max(ctx.mag(total), 1e-300)
+        best_rel = prev_mag / max(mag(total), 1e-300)
     return ctx.power(z, -a) * total, best_rel
 
 
@@ -381,6 +327,7 @@ def _hyp_u_log_case(a, n: int, z, ctx):
     not an integer <= n (those cases terminate elsewhere), so all digamma
     arguments stay off the poles.
     """
+    eps, mag = ctx.eps, ctx.abs
     lnz = ctx.log(z)
     psi_a = ctx.digamma(a)
     psi_1 = ctx.digamma(1)
@@ -391,13 +338,14 @@ def _hyp_u_log_case(a, n: int, z, ctx):
     total = coeff * (lnz + psi_a - psi_1 - psi_n1)
     small = 0
     for r in range(MAX_TERMS):
-        coeff = coeff * (a + r) * z / ((n + 1 + r) * (1 + r))
-        psi_a = psi_a + 1 / (a + r)
+        a_r = a + r
+        coeff = coeff * a_r * z / ((n + 1 + r) * (1 + r))
+        psi_a = psi_a + 1 / a_r
         psi_1 = psi_1 + one / (1 + r)
         psi_n1 = psi_n1 + one / (1 + n + r)
         term = coeff * (lnz + psi_a - psi_1 - psi_n1)
         total = total + term
-        if ctx.mag(term) <= ctx.eps * ctx.mag(total):
+        if mag(term) <= eps * mag(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 break
@@ -514,7 +462,7 @@ def kummer_u(a, b, z, ctx=None):
 def _whittaker_parts(kind: str, order, r, ctx):
     """ctx, mu, 1/2, a = mu - kappa + 1/2, b = 2 mu + 1, r and the prefactor
     e^{-r/2} r^{mu+1/2} shared by M and W, all in the context's arithmetic."""
-    kappa, mu = _order(order)
+    kappa, mu = order
     ctx = resolve(ctx)
     kappa = ctx.convert(kappa)
     mu = ctx.convert(mu)

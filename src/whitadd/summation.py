@@ -72,48 +72,6 @@ def context_for(options: SeriesOptions):
     raise ValueError(f"unrecognized precision spec {p!r}")
 
 
-class _Accumulator:
-    """Neumaier-compensated accumulation on hardware scalars.
-
-    Complex values run two compensated lanes (real, imaginary); extended
-    contexts do not need compensation and use plain addition.
-    """
-
-    def __init__(self, ctx):
-        self.compensate = ctx.kind == "hardware"
-        self.total = 0.0 if self.compensate else ctx.convert(0)
-        self._c_re = 0.0
-        self._c_im = 0.0
-
-    @staticmethod
-    def _neumaier(s, c, t):
-        new = s + t
-        if abs(s) >= abs(t):
-            c += (s - new) + t
-        else:
-            c += (t - new) + s
-        return new, c
-
-    def add(self, term):
-        if not self.compensate:
-            self.total = self.total + term
-            return
-        if isinstance(term, complex) or isinstance(self.total, complex):
-            tr = complex(self.total)
-            sr, self._c_re = self._neumaier(tr.real, self._c_re, complex(term).real)
-            si, self._c_im = self._neumaier(tr.imag, self._c_im, complex(term).imag)
-            self.total = complex(sr, si)
-        else:
-            self.total, self._c_re = self._neumaier(self.total, self._c_re, term)
-
-    def value(self):
-        if not self.compensate:
-            return self.total
-        if isinstance(self.total, complex):
-            return self.total + complex(self._c_re, self._c_im)
-        return self.total + self._c_re
-
-
 RATIO_WINDOW = 32
 
 
@@ -183,8 +141,11 @@ class _TailWindow:
             tail.popleft()
         if n < 4:
             return math.inf
-        m_head = mags[start] if mags[start] != mags[start] else mags[head[0]]
-        m_tail = mags[mid] if mags[mid] != mags[mid] else mags[tail[0]]
+        m_head, m_tail = mags[start], mags[mid]
+        if m_head == m_head:
+            m_head = mags[head[0]]
+        if m_tail == m_tail:
+            m_tail = mags[tail[0]]
         if self._last_nan < start and m_head == 0.0 and m_tail == 0.0:
             # underflowed or exactly terminated, but only trust a full window
             return 0.0 if n >= RATIO_WINDOW else math.inf
@@ -195,7 +156,7 @@ class _TailWindow:
         q = (m_tail / m_head) ** (1.0 / (mid - start))
         if not q < 1.0:
             return math.inf
-        return max(m_head, m_tail) * q / (1.0 - q)
+        return (m_tail if m_tail > m_head else m_head) * q / (1.0 - q)
 
 
 def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
@@ -222,10 +183,18 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     options = options or SeriesOptions()
     ctx = context_for(options)
     stream = terms(ctx) if callable(terms) else terms
+    rel_tol, max_terms = options.rel_tol, options.max_terms
 
-    acc = _Accumulator(ctx)
+    # On hardware the sum is Neumaier-compensated: the partial sum s and its
+    # compensation c take the real parts, and from the first complex term on
+    # s_im and c_im take the imaginary parts (None until then); the value is
+    # s + c, or complex(s + c, s_im + c_im).  Extended contexts carry enough
+    # digits to add plainly into s.
     window = _TailWindow()
     hardware = ctx.kind == "hardware"
+    s = value = 0.0 if hardware else ctx.convert(0)
+    c = 0.0
+    s_im = c_im = None
     abs_sum = ctx.convert(0)
     max_mag = 0.0
     tail = math.inf
@@ -234,11 +203,11 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     it = iter(stream)
 
     while True:
-        if n >= options.max_terms:
-            outcome = _finish(acc, n, max_mag, abs_sum, tail, ctx)
+        if n >= max_terms:
+            outcome = _finish(value, n, max_mag, abs_sum, tail, ctx)
             logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
             raise NoConvergence(
-                f"series did not meet rel_tol={options.rel_tol} in {n} terms",
+                f"series did not meet rel_tol={rel_tol} in {n} terms",
                 outcome=outcome)
         try:
             term = next(it)
@@ -252,29 +221,42 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
             if type(term) is not float and type(term) is not complex:
                 term = ctx.convert(term)
             mag = abs(term)
+            if s_im is None and type(term) is float:
+                t_re = term
+            else:
+                if s_im is None:
+                    s_im = c_im = 0.0
+                t = complex(term)
+                t_re, t_im = t.real, t.imag
+                new = s_im + t_im
+                c_im += (s_im - new) + t_im if abs(s_im) >= abs(t_im) else (t_im - new) + s_im
+                s_im = new
+            new = s + t_re
+            c += (s - new) + t_re if abs(s) >= abs(t_re) else (t_re - new) + s
+            s = new
+            value = s + c if s_im is None else complex(s + c, s_im + c_im)
+            value_mag = abs(value)
         else:
             term = ctx.convert(term)
             mag = ctx.mag(term)
-        acc.add(term)
+            s = value = s + term
+            value_mag = ctx.mag(value)
         abs_sum = abs_sum + mag
         if mag > max_mag:
             max_mag = mag
         n += 1
         tail = window.push(mag)
-        value = acc.value()
-        value_mag = abs(value) if hardware else ctx.mag(value)
-        if tail <= options.rel_tol * max(value_mag, 1e-300):
+        if tail <= rel_tol * (1e-300 if value_mag < 1e-300 else value_mag):
             passes += 1
             if passes >= CONSECUTIVE_PASSES:
                 break
         else:
             passes = 0
 
-    return _finish(acc, n, max_mag, abs_sum, tail, ctx)
+    return _finish(value, n, max_mag, abs_sum, tail, ctx)
 
 
-def _finish(acc, n, max_mag, abs_sum, tail, ctx) -> SeriesOutcome:
-    value = acc.value()
+def _finish(value, n, max_mag, abs_sum, tail, ctx) -> SeriesOutcome:
     vmag = float(ctx.mag(value))
     cond = float(abs_sum) / vmag if vmag > 0 else math.inf
     return SeriesOutcome(

@@ -76,7 +76,7 @@ def test_eval_hostler_json_value_encoding(capsys):
                       "--p", "3,0.4,0.0", "--p0", "1.2,2.2,5.1", "--json"], capsys)
     assert rc == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["command"] == "eval" and payload["function"] == "hostler"
     want = hostler_green(CoulombParams(1.0, 0.7),
                          SphericalPoint(3.0, 0.4, 0.0),
@@ -172,6 +172,19 @@ def test_verify_grid_override_json(capsys):
     assert payload["rows"][0]["lhs"]["fraction"].count("/") == 1
 
 
+def test_verify_json_rows_carry_precision_and_seconds(capsys):
+    rc, out, _ = run(["verify", "gamma_zero", "--grid", "kappa=-0.7",
+                      "--grid", "r0=1", "--grid", "r=2", "--digits", "30",
+                      "--json", "-"], capsys)
+    assert rc == 0
+    row, = json.loads(out)["rows"]
+    assert row["precision"] == ["extended", 30] and row["seconds"] > 0
+    rc, out, _ = run(["verify", "lemma_binomial", "--grid", "N=1",
+                      "--grid", "nu=1/3", "--json", "-"], capsys)
+    row, = json.loads(out)["rows"]
+    assert row["precision"] is None and row["seconds"] >= 0
+
+
 def test_verify_bad_grid_name(capsys):
     rc, _, err = run(["verify", "lemma_binomial", "--grid", "bogus=1"], capsys)
     assert rc == 2 and "error" in err
@@ -184,9 +197,12 @@ def test_verify_csv_header(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["index", "kappa", "r0", "r", "lhs", "rhs", "abs_err",
                        "rel_err", "n_terms", "condition_number", "digits_lost",
-                       "exact", "passed", "error"]
+                       "exact", "passed", "error", "precision", "seconds"]
     assert len(rows) == 3
-    assert all(r[-3] == "" and r[-2] == "true" for r in rows[1:])
+    for r in rows[1:]:
+        cell = dict(zip(rows[0], r))
+        assert cell["exact"] == "" and cell["passed"] == "true" and cell["error"] == ""
+        assert cell["precision"] == "hardware" and float(cell["seconds"]) > 0
 
 
 def test_verify_failure_exit_code(capsys):

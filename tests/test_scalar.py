@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from whitadd.scalar import (
@@ -48,6 +49,74 @@ def test_hardware_convert_and_mag():
     assert HARDWARE.convert(mpmath.mpc(1, 2)) == 1 + 2j
     assert HARDWARE.convert(complex(2.0, 0.0)) == 2.0 + 0.0j
     assert HARDWARE.mag(-3 - 4j) == 5.0
+
+
+def _general_convert(x):
+    """HardwareContext.convert without its exact float/complex fast path."""
+    if isinstance(x, complex):
+        return x
+    if isinstance(x, (int, float, Fraction)):
+        return float(x)
+    if isinstance(x, (mpmath.mpf, mpmath.mpc)):
+        c = complex(x)
+        return c.real if c.imag == 0.0 else c
+    c = complex(x)
+    return c.real if c.imag == 0.0 else c
+
+
+def _general_nonpositive_integer(x, tol=1e-12):
+    """is_nonpositive_integer without its exact float fast path."""
+    if isinstance(x, int):
+        return x <= 0
+    if isinstance(x, Fraction):
+        return x.denominator == 1 and x <= 0
+    if isinstance(x, complex):
+        if abs(x.imag) > tol:
+            return False
+        x = x.real
+    try:
+        xr = float(getattr(x, "real", x))
+        xi = float(getattr(x, "imag", 0.0))
+    except TypeError:
+        return False
+    if abs(xi) > tol:
+        return False
+    return xr < 0.5 and abs(xr - round(xr)) <= tol
+
+
+FAST_PATH_INPUTS = [
+    1.5, -2.25, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+    complex(2.0, 0.0), complex(-0.0, -0.0), complex(3.0, -4.0),
+    complex(math.nan, 1.0), complex(math.inf, 0.0),
+    3, -7, 0, True, False, Fraction(1, 3), Fraction(-4, 1),
+    mpmath.mpf("1.5"), mpmath.mpf("-0.25"), mpmath.mpc(1, 2), mpmath.mpc(1, 0),
+    np.float64(2.5), np.float64(-0.0), np.float64(math.nan),
+    np.complex128(1 + 2j), np.complex128(3 + 0j),
+]
+
+
+@pytest.mark.parametrize("x", FAST_PATH_INPUTS, ids=repr)
+def test_hardware_fast_paths_match_the_general_path(x):
+    want = _general_convert(x)
+    got = HARDWARE.convert(x)
+    assert type(got) is type(want) and repr(got) == repr(want)
+    want_mag, got_mag = abs(want), HARDWARE.mag(x)
+    assert type(got_mag) is type(want_mag) and repr(got_mag) == repr(want_mag)
+    if type(x) in (float, complex):
+        assert repr(HARDWARE.abs(x)) == repr(got_mag)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -3.0, -3.0 + 1e-13, -3.0 + 1e-11, 0.49,
+                               0.5, 1.0, -1e300, math.nan, math.inf, -math.inf],
+                         ids=repr)
+def test_nonpositive_integer_float_fast_path(x):
+    def outcome(fn):
+        try:
+            return fn(x)
+        except OverflowError as exc:
+            return type(exc)
+
+    assert outcome(is_nonpositive_integer) == outcome(_general_nonpositive_integer)
 
 
 def test_hardware_power_branches():

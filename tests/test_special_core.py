@@ -17,14 +17,12 @@ from whitadd.special_core import (
     binomial,
     gegenbauer_c,
     gegenbauer_ladder,
-    inverse_pochhammer,
     kummer_m,
     kummer_u,
     laguerre,
     legendre_p,
     log_pochhammer,
     pochhammer,
-    pochhammer_ratio,
     spherical_harmonic,
     whittaker_m,
     whittaker_w,
@@ -42,12 +40,6 @@ def test_pochhammer_exact():
         pochhammer(1, -1)
 
 
-def test_inverse_pochhammer():
-    assert inverse_pochhammer(3, 2) == Fraction(1, 12)
-    with pytest.raises(PoleHit):
-        inverse_pochhammer(-2, 5)
-
-
 def test_binomial():
     assert binomial(7, 3) == 35
     assert binomial(0, 0) == 1
@@ -62,18 +54,6 @@ def test_log_pochhammer_matches_golden(golden):
     assert_rel(log_pochhammer(40, 290), want, 1e-13, "log_pochhammer")
     with pytest.raises(PoleHit):
         log_pochhammer(-3, 10)
-
-
-def test_pochhammer_ratio():
-    # small-n path: plain factor ratios
-    assert_rel(pochhammer_ratio(2.5, 1.5, 5), pochhammer(2.5, 5) / pochhammer(1.5, 5), 1e-15)
-    # log-scaled path survives ratios whose parts overflow doubles separately
-    big = pochhammer_ratio(40.0, 41.0, 290)
-    want = math.exp(log_pochhammer(40, 290) - log_pochhammer(41, 290))
-    assert_rel(big, want, 1e-12)
-    assert pochhammer_ratio(-10.0, 3.0, 50) == 0.0
-    with pytest.raises(PoleHit):
-        pochhammer_ratio(1.0, -5.0, 10)
 
 
 # --- orthogonal polynomials ------------------------------------------------

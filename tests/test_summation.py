@@ -179,6 +179,163 @@ def test_sum_series_stops_where_the_window_rescan_stops(stream, opts, monkeypatc
     assert repr(running) == repr(rescanned)
 
 
+class _Accumulator:
+    """The compensated accumulator sum_series used as a separate object,
+    kept as the oracle of the accumulation now folded into its loop."""
+
+    def __init__(self, ctx):
+        self.compensate = ctx.kind == "hardware"
+        self.total = 0.0 if self.compensate else ctx.convert(0)
+        self._c_re = 0.0
+        self._c_im = 0.0
+
+    @staticmethod
+    def _neumaier(s, c, t):
+        new = s + t
+        if abs(s) >= abs(t):
+            c += (s - new) + t
+        else:
+            c += (t - new) + s
+        return new, c
+
+    def add(self, term):
+        if not self.compensate:
+            self.total = self.total + term
+            return
+        if isinstance(term, complex) or isinstance(self.total, complex):
+            tr = complex(self.total)
+            sr, self._c_re = self._neumaier(tr.real, self._c_re, complex(term).real)
+            si, self._c_im = self._neumaier(tr.imag, self._c_im, complex(term).imag)
+            self.total = complex(sr, si)
+        else:
+            self.total, self._c_re = self._neumaier(self.total, self._c_re, term)
+
+    def value(self):
+        if not self.compensate:
+            return self.total
+        if isinstance(self.total, complex):
+            return self.total + complex(self._c_re, self._c_im)
+        return self.total + self._c_re
+
+
+def _accumulator_sum_series(terms, options):
+    """sum_series as it was with ``_Accumulator``: same stopping rule, same
+    diagnostics, NoConvergence with the partial outcome."""
+    ctx = context_for(options)
+    acc, window = _Accumulator(ctx), summation._TailWindow()
+    hardware = ctx.kind == "hardware"
+    abs_sum, max_mag, tail, passes, n = ctx.convert(0), 0.0, math.inf, 0, 0
+    it = iter(terms)
+
+    def finish():
+        value = acc.value()
+        vmag = float(ctx.mag(value))
+        return summation.SeriesOutcome(
+            value=value, n_terms=n, max_term_mag=max_mag,
+            condition_number=float(abs_sum) / vmag if vmag > 0 else math.inf,
+            tail_estimate=float(tail))
+
+    while True:
+        if n >= options.max_terms:
+            raise NoConvergence(
+                f"series did not meet rel_tol={options.rel_tol} in {n} terms",
+                outcome=finish())
+        try:
+            term = next(it)
+        except StopIteration:
+            tail = 0.0
+            break
+        if hardware:
+            if type(term) is not float and type(term) is not complex:
+                term = ctx.convert(term)
+            mag = abs(term)
+        else:
+            term = ctx.convert(term)
+            mag = ctx.mag(term)
+        acc.add(term)
+        abs_sum = abs_sum + mag
+        if mag > max_mag:
+            max_mag = mag
+        n += 1
+        tail = window.push(mag)
+        value = acc.value()
+        value_mag = abs(value) if hardware else ctx.mag(value)
+        if tail <= options.rel_tol * max(value_mag, 1e-300):
+            passes += 1
+            if passes >= summation.CONSECUTIVE_PASSES:
+                break
+        else:
+            passes = 0
+    return finish()
+
+
+def _accumulation_streams(seed):
+    """Seeded term lists that exercise every accumulation path."""
+    rng = random.Random(seed)
+
+    def real(i):
+        return rng.uniform(-1, 1) * 0.8 ** (i / 4)
+
+    def cplx(i):
+        return complex(real(i), real(i))
+
+    # real terms, then complex ones from a random index on, then real again
+    switch = rng.randrange(1, 40)
+    yield [real(i) if i < switch or i > switch + 30 else cplx(i) for i in range(120)]
+    yield [cplx(0)] + [real(i) for i in range(1, 80)]
+    # non-finite and signed-zero terms, real and complex
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, complex(-0.0, -0.0),
+                complex(math.nan, 0.0), complex(0.0, math.inf)]
+    for special in specials:
+        terms = [real(i) for i in range(60)]
+        terms[rng.randrange(60)] = special
+        yield terms
+    yield [-0.0] * 50
+    yield [complex(-0.0, 0.0)] * 50
+    yield [math.inf, -math.inf] + [real(i) for i in range(40)]
+    # exactly cancelling pairs, and a huge term cancelled around small ones
+    pairs = [real(i) * 10 ** rng.randrange(-5, 20) for i in range(40)]
+    yield [t for x in pairs for t in (x, -x)]
+    yield [t for x in pairs for t in (complex(x, -x), complex(-x, x))]
+    yield [1e100, real(0), -1e100] + [real(i) for i in range(1, 60)]
+    # exact types converted on the way in
+    yield [Fraction(1, 3), 2, True, 0.5] + [real(i) for i in range(40)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sum_series_accumulates_like_the_accumulator(seed):
+    options = [SeriesOptions(rel_tol=1e-12), SeriesOptions(rel_tol=1e-12, max_terms=25),
+               SeriesOptions(rel_tol=1e-25, precision=("extended", 30))]
+
+    def outcome(fn, terms, opts):
+        try:
+            return "returned", fn(list(terms), opts)
+        except NoConvergence as exc:
+            return str(exc), exc.outcome
+
+    for terms in _accumulation_streams(seed):
+        for opts in options:
+            got = outcome(sum_series, terms, opts)
+            want = outcome(_accumulator_sum_series, terms, opts)
+            assert repr(got) == repr(want), terms
+            assert type(got[1].value) is type(want[1].value)
+
+
+def test_sum_series_partial_outcome_matches_the_accumulator():
+    # a series too slow for max_terms: the partial sum rides on NoConvergence
+    rng = random.Random(7)
+    terms = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if n % 7 == 3
+             else rng.uniform(-1, 1) for n in range(400)]
+    opts = SeriesOptions(rel_tol=1e-14, max_terms=300)
+    with pytest.raises(NoConvergence) as got:
+        sum_series(terms, opts)
+    with pytest.raises(NoConvergence) as want:
+        _accumulator_sum_series(terms, opts)
+    assert got.value.outcome.n_terms == 300
+    assert repr(got.value.outcome) == repr(want.value.outcome)
+    assert str(got.value) == str(want.value)
+
+
 def test_exactly_terminating_stream():
     # zero tail after an exact cutoff must win over the ratio estimate
     def terms():
