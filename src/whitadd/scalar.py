@@ -9,11 +9,19 @@ the small interface below. Two implementations are provided:
   ``convert`` and ``mag`` serve those two exact types first and return at
   once (``mag`` is then plain ``abs``); every other type -- ``int``,
   ``bool``, ``Fraction``, mpmath ``mpf``/``mpc``, numpy scalars and the
-  subclasses of ``float`` and ``complex`` -- takes the general path.
+  subclasses of ``float`` and ``complex`` -- takes the general path, which
+  returns a builtin ``float`` or ``complex`` (a numpy ``complex128`` stays
+  complex).
 * ``ExtendedContext`` -- arbitrary-precision arithmetic (mpmath) at a
   configurable number of significant decimal digits (>= 30, default 60). Used
   for oracle/golden-file generation and for identity verification whenever the
-  forecast digit loss exceeds what hardware precision can absorb.
+  forecast digit loss exceeds what hardware precision can absorb. Its
+  magnitudes ``mag`` and ``abs`` are floats taken from the float parts,
+  ``math.hypot(float(re), float(im))``: a square root instead of an mpmath
+  ``hypot`` at full precision, for values that only steer stop rules and
+  comparisons. ``fixed``, ``from_fixed`` and ``workprec`` carry values to
+  and from the fixed-point integers of the Kummer series loops
+  (``special_core``).
 
 Each ExtendedContext owns a private mpmath context clone, so it never races
 on mpmath's global precision. A clone costs about 0.6 ms and every value it
@@ -33,6 +41,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import round_nearest, to_fixed, to_float
 from scipy import special as _sp
 
 _INTEGER_MATCH_TOL = 1e-12
@@ -43,7 +52,9 @@ def is_nonpositive_integer(x) -> bool:
 
     Exact-type inputs (int, Fraction) are classified exactly; floats within
     _INTEGER_MATCH_TOL of a non-positive integer count as hits, since the
-    branch they select is the only one that does not blow up there.
+    branch they select is the only one that does not blow up there. An
+    mpmath value counts only within its own context's eps, compared in
+    mpmath, so extended contexts never trade digits for the shortcut.
     """
     if type(x) is float:
         return x < 0.5 and abs(x - round(x)) <= _INTEGER_MATCH_TOL
@@ -51,6 +62,9 @@ def is_nonpositive_integer(x) -> bool:
         return x <= 0
     if isinstance(x, Fraction):
         return x.denominator == 1 and x <= 0
+    if hasattr(x, "_mpf_") or hasattr(x, "_mpc_"):
+        n = nearest_integer(x)
+        return n <= 0 and abs(x - n) <= x.context.eps * max(1, -n)
     if isinstance(x, complex):
         if abs(x.imag) > _INTEGER_MATCH_TOL:
             return False
@@ -83,8 +97,10 @@ class HardwareContext:
         return math.pi
 
     def convert(self, x):
-        if type(x) is float or isinstance(x, complex):
+        if type(x) is float or type(x) is complex:
             return x
+        if isinstance(x, complex):  # numpy complex128 and other subclasses
+            return complex(x)
         if isinstance(x, (int, float, Fraction)):
             return float(x)
         if isinstance(x, (mpmath.mpf, mpmath.mpc)):
@@ -166,6 +182,8 @@ class HardwareContext:
         return float(_sp.digamma(x))
 
     def isfinite(self, x) -> bool:
+        if type(x) is float:
+            return math.isfinite(x)
         c = complex(x)
         return math.isfinite(c.real) and math.isfinite(c.imag)
 
@@ -193,6 +211,11 @@ class ExtendedContext:
     def pi(self):
         return +self._mp.pi
 
+    @property
+    def euler(self):
+        """Euler's constant gamma = -psi(1) at the working precision."""
+        return +self._mp.euler
+
     def convert(self, x):
         if isinstance(x, Fraction):
             with self._mp.extradps(5):
@@ -200,9 +223,40 @@ class ExtendedContext:
         return self._mp.convert(x)
 
     def mag(self, x) -> float:
-        return float(abs(self.convert(x)))
+        return self.abs(self.convert(x))
 
-    abs = mag
+    def abs(self, x) -> float:
+        """``mag`` of a value already in this context's arithmetic."""
+        v = getattr(x, "_mpc_", None)
+        if v is None:
+            return math.fabs(to_float(x._mpf_, rnd=round_nearest))
+        return math.hypot(to_float(v[0], rnd=round_nearest), to_float(v[1], rnd=round_nearest))
+
+    @property
+    def prec(self) -> int:
+        """The working precision in bits, raised inside ``extra_digits``."""
+        return self._mp.prec
+
+    def fixed(self, x, wp: int) -> tuple:
+        """(re, im): the finite x times 2^wp, truncated to integers, so a
+        fixed-point number with wp fractional bits; im is None for real x."""
+        v = getattr(x, "_mpc_", None)
+        if v is None:
+            return to_fixed(x._mpf_, wp), None
+        return to_fixed(v[0], wp), to_fixed(v[1], wp)
+
+    def from_fixed(self, re: int, im, wp: int):
+        """(re + i im) / 2^wp at the working precision; real when im is None."""
+        mpf = self._mp.mpf
+        if im is None:
+            return mpf((re, -wp))
+        return self._mp.mpc(mpf((re, -wp)), mpf((im, -wp)))
+
+    @contextmanager
+    def workprec(self, bits: int):
+        """Scope the working precision to ``bits`` bits."""
+        with self._mp.workprec(bits):
+            yield self
 
     def re(self, x):
         return self._mp.re(self.convert(x))

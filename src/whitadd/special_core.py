@@ -11,12 +11,28 @@ default, arbitrary-precision via ``scalar.extended``); polynomial recurrences
 additionally accept exact ``fractions.Fraction`` inputs and then return exact
 rationals.
 
+The three Kummer series loops -- the 1F1 power series, its terminating
+polynomial and the infinite sum of U's logarithmic case -- have one float
+body for the hardware context and one fixed-point body for extended
+contexts, where values are Python integers scaled by 2^wp (complex values
+as pairs) and wp is the context's working precision ``ctx.prec`` (raised
+inside ``extra_digits``) plus guard bits, the technique of mpmath's
+``hypsum`` [J]. A fixed-point loop stops once its terms fall below the
+working precision relative to its sum, never at the context's base
+``eps``. It tracks its peak term and the bits of its sum; when
+cancellation leaves fewer than ``ctx.prec`` bits it is summed again with
+more guard bits, and past ``MAX_GUARD_BITS`` it raises PrecisionExhausted.
+U's convergent routes add the parts of their connection formulas with
+guard digits and retry the same way when the parts cancel more than those.
+
 References
 ----------
 .. [AS] Abramowitz & Stegun, Handbook of Mathematical Functions, ch. 13
         (13.1.2, 13.1.3, 13.1.6, 13.4.21, 13.5.1, 13.5.2).
 .. [DLMF] NIST Digital Library of Mathematical Functions, ch. 13, 13.2.9,
         13.7.3, 18.9.
+.. [J] F. Johansson, Computing hypergeometric functions rigorously,
+       ACM Trans. Math. Software 45 (2019) 30.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .errors import (
     NoConvergence,
     PoleAtNonpositiveB,
     PoleHit,
+    PrecisionExhausted,
     UnsupportedOrder,
     UnsupportedRegion,
 )
@@ -49,6 +66,11 @@ SMALL_Z_CUTOFF = 1e-8
 # route both retain roughly half the mantissa, so either side of the switch
 # is defensible
 ASYMPTOTIC_Z_SWITCH = 18.0
+
+# bits above the working precision that a fixed-point series starts with,
+# and the most it may grow to when cancellation eats them
+GUARD_BITS = 24
+MAX_GUARD_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +244,8 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 
 def _hyp1f1_poly(m: int, b, z, ctx):
     """Terminating 1F1(-m; b; z); needs (b)_k != 0 only for k < m."""
+    if ctx.kind != "hardware":
+        return _fixed_point(_hyp1f1_fixed, (ctx.convert(-m), b, z, m, True), ctx)
     term = ctx.convert(1)
     total = term
     for k in range(m):
@@ -239,6 +263,8 @@ def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
 
     Caller guarantees (b)_k never hits zero before the series terminates.
     """
+    if ctx.kind != "hardware":
+        return _fixed_point(_hyp1f1_fixed, (a, b, z, max_terms, False), ctx)
     eps, mag = ctx.eps, ctx.abs
     term = ctx.convert(1)
     total = term
@@ -259,6 +285,89 @@ def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
     raise NoConvergence(f"1F1({a}; {b}; {z}) did not converge in {max_terms} terms")
 
 
+# ---------------------------------------------------------------------------
+# fixed-point series bodies (extended contexts)
+# ---------------------------------------------------------------------------
+
+def _fixed_point(body, args, ctx, guard: int = 0):
+    """Sum a series on fixed-point integers with wp = ctx.prec + guard bits.
+
+    ``body(*args, ctx, wp)`` returns (re, im, lost): the sum times 2^wp as
+    integers (im None for a real sum) and the bits it cannot vouch for,
+    log2 of its peak term over the sum plus log2 of its term count.  A sum
+    that keeps fewer than ctx.prec bits is summed again with lost +
+    GUARD_BITS guard bits; one that would need more than MAX_GUARD_BITS
+    raises PrecisionExhausted.
+    """
+    prec = ctx.prec
+    guard += GUARD_BITS
+    while True:
+        wp = prec + guard
+        re, im, lost = body(*args, ctx, wp)
+        if lost <= guard:
+            return ctx.from_fixed(re, im, wp)
+        if guard >= MAX_GUARD_BITS:
+            raise PrecisionExhausted(
+                f"{body.__name__[1:]} cancels {lost} bits, more than the "
+                f"{MAX_GUARD_BITS}-bit guard cap")
+        guard = min(lost + GUARD_BITS, MAX_GUARD_BITS)
+
+
+def _bits(x: int, y: int) -> int:
+    """Bit length of the larger part of the fixed-point number x + i y."""
+    return max(abs(x), abs(y)).bit_length()
+
+
+def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, ctx, wp: int):
+    """Body of ``_hyp1f1_series`` (terminating: of ``_hyp1f1_poly``, with
+    a = -terms) at wp fractional bits, for ``_fixed_point``.
+
+    t_{k+1} = t_k (a+k) z / ((b+k)(k+1)): one product and one floor
+    division per term, so each term is off by at most its last unit.  The
+    truncation of b to wp bits costs every term the bits of |b| below 1,
+    which are counted as lost too.
+    """
+    prec, one = ctx.prec, 1 << wp
+    (ar, ai), (br, bi), (zr, zi) = (ctx.fixed(v, wp) for v in (a, b, z))
+    real = ai is None and bi is None and zi is None
+    ai, bi, zi = ai or 0, bi or 0, zi or 0
+    tr, ti, sr, si = one, 0, one, 0
+    peak, small, k = wp + 1, 0, 0
+    lost = max(0, wp + 1 - _bits(br, bi))
+    for k in range(terms):
+        dr, di = br * (k + 1), bi * (k + 1)
+        if not (dr or di):
+            raise PoleAtNonpositiveB(f"1F1 series denominator (b)_k vanished at b={b}, k={k}")
+        if real:
+            tr = tr * ar * zr // (dr << wp)
+        else:
+            nr, ni = ar * zr - ai * zi, ar * zi + ai * zr
+            pr, pi = tr * nr - ti * ni, tr * ni + ti * nr
+            den = (dr * dr + di * di) << wp
+            tr, ti = (pr * dr + pi * di) // den, (pi * dr - pr * di) // den
+        sr += tr
+        si += ti
+        ar += one
+        br += one
+        tb = _bits(tr, ti)
+        if tb > peak:
+            peak = tb
+        if terminating:
+            continue
+        if not tb:
+            break  # a zero term zeroes every later one
+        if tb + prec <= _bits(sr, si):
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                break
+        else:
+            small = 0
+    else:
+        if not terminating:
+            raise NoConvergence(f"1F1({a}; {b}; {z}) did not converge in {terms} terms")
+    return sr, None if real else si, lost + peak - _bits(sr, si) + (k + 1).bit_length()
+
+
 def kummer_m(a, b, z, ctx=None):
     """Confluent hypergeometric function of the first kind 1F1(a; b; z).
 
@@ -270,6 +379,8 @@ def kummer_m(a, b, z, ctx=None):
     a = ctx.convert(a)
     b = ctx.convert(b)
     z = ctx.convert(z)
+    if not ctx.isfinite(a + b + z):  # all three finite, short of an overflow
+        raise UnsupportedRegion(f"kummer_m needs finite arguments, got a={a}, b={b}, z={z}")
     if is_nonpositive_integer(b):
         raise PoleAtNonpositiveB(f"1F1 undefined at non-positive integer b={b}")
     if is_nonpositive_integer(a):
@@ -315,20 +426,9 @@ def _hyp_u_asymptotic(a, b, z, ctx, max_terms=MAX_TERMS):
     return ctx.power(z, -a) * total, best_rel
 
 
-def _hyp_u_log_case(a, n: int, z, ctx):
-    """U(a, n+1, z) for integer n >= 0 via the logarithmic expansion [AS 13.1.6].
-
-    U(a,n+1,z) = (-1)^{n+1}/(n! Gamma(a-n)) *
-                   sum_{r>=0} (a)_r z^r/((n+1)_r r!) *
-                   [ln z + psi(a+r) - psi(1+r) - psi(1+n+r)]
-               + (n-1)!/Gamma(a) * z^{-n} *
-                   sum_{r=0}^{n-1} (a-n)_r z^r / ((1-n)_r r!)
-    with the second (finite) sum absent for n = 0. The caller guarantees a is
-    not an integer <= n (those cases terminate elsewhere), so all digamma
-    arguments stay off the poles.
-    """
+def _log_series(a, n: int, z, lnz, ctx):
+    """The infinite sum of ``_hyp_u_log_case`` in hardware floats."""
     eps, mag = ctx.eps, ctx.abs
-    lnz = ctx.log(z)
     psi_a = ctx.digamma(a)
     psi_1 = ctx.digamma(1)
     psi_n1 = ctx.digamma(n + 1)
@@ -348,11 +448,74 @@ def _hyp_u_log_case(a, n: int, z, ctx):
         if mag(term) <= eps * mag(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
-                break
+                return total
         else:
             small = 0
+    raise NoConvergence(f"U log-case series stalled at a={a}, b={n + 1}, z={z}")
+
+
+def _log_series_fixed(a, n: int, z, ctx, wp: int):
+    """The infinite sum of ``_hyp_u_log_case`` at wp fractional bits, for
+    ``_fixed_point``: c_{r+1} = c_r (a+r) z / ((n+1+r)(r+1)) with an integer
+    divisor, and the bracket d_r = ln z + psi(a+r) - psi(1+r) - psi(1+n+r)
+    carried as d_{r+1} = d_r + 1/(a+r) - 1/(1+r) - 1/(1+n+r)."""
+    prec, one, two_wp = ctx.prec, 1 << wp, 2 * wp
+    with ctx.workprec(wp):  # psi(1) + psi(n+1) = -2 gamma + H_n
+        d = ctx.log(z) + ctx.digamma(a) + 2 * ctx.euler
+    (dr, di), (ar, ai), (zr, _) = (ctx.fixed(v, wp) for v in (d, a, z))
+    real = ai is None
+    ai, di = ai or 0, di or 0
+    dr -= sum(one // k for k in range(1, n + 1))
+    cr, ci, ti = one, 0, 0
+    sr, si = dr, di
+    peak, small = _bits(dr, di), 0
+    for r in range(MAX_TERMS):
+        q = (n + 1 + r) * (1 + r) << two_wp
+        steps = one // (1 + r) + one // (n + 1 + r)
+        if real:
+            cr = cr * ar * zr // q
+            dr += (one << wp) // ar - steps
+            tr = cr * dr >> wp
+        else:
+            cr, ci = (cr * ar - ci * ai) * zr // q, (cr * ai + ci * ar) * zr // q
+            m = ar * ar + ai * ai
+            dr += (ar << two_wp) // m - steps
+            di -= (ai << two_wp) // m
+            tr, ti = (cr * dr - ci * di) >> wp, (cr * di + ci * dr) >> wp
+        ar += one
+        sr += tr
+        si += ti
+        tb = _bits(tr, ti)
+        if tb > peak:
+            peak = tb
+        if tb + prec <= _bits(sr, si):
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                return sr, None if real else si, peak - _bits(sr, si) + (r + 1).bit_length()
+        else:
+            small = 0
+    raise NoConvergence(f"U log-case series stalled at a={a}, b={n + 1}, z={z}")
+
+
+def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
+    """The parts whose sum is U(a, n+1, z), integer n >= 0, by the
+    logarithmic expansion [AS 13.1.6]:
+
+    U(a,n+1,z) = (-1)^{n+1}/(n! Gamma(a-n)) *
+                   sum_{r>=0} (a)_r z^r/((n+1)_r r!) *
+                   [ln z + psi(a+r) - psi(1+r) - psi(1+n+r)]
+               + (n-1)!/Gamma(a) * z^{-n} *
+                   sum_{r=0}^{n-1} (a-n)_r z^r / ((1-n)_r r!)
+    with the second (finite) sum absent for n = 0. The caller guarantees a is
+    not an integer <= n (those cases terminate elsewhere), so all digamma
+    arguments stay off the poles. ``guard`` forecasts in bits how much the
+    infinite sum cancels; its fixed-point body starts with that many extra.
+    """
+    lnz = ctx.log(z)
+    if ctx.kind == "hardware":
+        total = _log_series(a, n, z, lnz, ctx)
     else:
-        raise NoConvergence(f"U log-case series stalled at a={a}, b={n + 1}, z={z}")
+        total = _fixed_point(_log_series_fixed, (a, n, z), ctx, guard)
 
     sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
     # n! and 1/Gamma(a-n) separately overflow doubles near n ~ 170; combine
@@ -362,7 +525,7 @@ def _hyp_u_log_case(a, n: int, z, ctx):
         pre1 = ctx.exp(-ctx.loggamma(a - n) - ctx.loggamma(n + 1))
     else:
         pre1 = ctx.rgamma(a - n) / math.factorial(n)
-    value = sign * pre1 * total
+    parts = (sign * pre1 * total,)
 
     if n > 0:
         fterm = ctx.convert(1)  # (a-n)_r z^r / ((1-n)_r r!)
@@ -374,20 +537,43 @@ def _hyp_u_log_case(a, n: int, z, ctx):
             pre2 = ctx.exp(ctx.loggamma(n) - ctx.loggamma(a) - n * lnz)
         else:
             pre2 = math.factorial(n - 1) * ctx.rgamma(a) * ctx.power(z, -n)
-        value = value + pre2 * fsum
-    if big_n and not isinstance(a, complex) and isinstance(value, complex):
+        parts += (pre2 * fsum,)
+    if big_n and not isinstance(a, complex):
         # loggamma of negative reals walks through the complex plane; the
         # imaginary dust is far below eps relative to the real part here
-        value = value.real
-    return value
+        parts = tuple(p.real if isinstance(p, complex) else p for p in parts)
+    return parts
 
 
 def _hyp_u_reflection(a, b, z, ctx):
-    """U for non-integer b via the two-1F1 connection formula [AS 13.1.3]."""
+    """The two parts whose sum is U for non-integer b, by the two-1F1
+    connection formula [AS 13.1.3]."""
     first = ctx.gamma(1 - b) * ctx.rgamma(a - b + 1) * _hyp1f1_series(a, b, z, ctx)
     second = (ctx.gamma(b - 1) * ctx.rgamma(a)
               * ctx.power(z, 1 - b) * _hyp1f1_series(a - b + 1, 2 - b, z, ctx))
-    return first + second
+    return first, second
+
+
+def _cancelling_sum(route, ctx, guard: int):
+    """The sum of the parts ``route(gctx)`` returns with ``guard`` extra
+    digits in force.  On an extended context, parts that cancel more than
+    guard - 3 digits are evaluated again with 10 more guard digits than they
+    lost; a loss beyond MAX_GUARD_BITS raises PrecisionExhausted."""
+    if ctx.kind == "hardware":  # no guard digits to add
+        parts = route(ctx)
+        return sum(parts[1:], parts[0])
+    while True:
+        with ctx.extra_digits(guard) as gctx:
+            parts = route(gctx)
+            value = sum(parts[1:], parts[0])
+            ratio = max(ctx.mag(p / value) for p in parts) if value != 0 else math.inf
+        lost = math.log10(ratio)
+        if lost <= guard - 3:
+            return value
+        if lost > MAX_GUARD_BITS * math.log10(2):
+            raise PrecisionExhausted(
+                f"the parts of U cancel {lost:.0f} digits, beyond the {MAX_GUARD_BITS}-bit cap")
+        guard = int(lost) + 10
 
 
 def kummer_u(a, b, z, ctx=None):
@@ -404,13 +590,17 @@ def kummer_u(a, b, z, ctx=None):
     5. otherwise: Gamma-reflection pair of 1F1 series (same large-z escape)
 
     The convergent routes 4-5 cancel like e^z, losing roughly 0.434*z decimal
-    digits; extended contexts absorb that loss with internal guard digits,
-    the hardware context switches to the asymptotic series beyond z ~= 18.
+    digits; extended contexts absorb that loss with guard digits (route 5)
+    or the log series' own guard bits (route 4), and evaluate again with more
+    when the loss exceeds them; the hardware context switches to the
+    asymptotic series beyond z ~= 18.
     """
     ctx = resolve(ctx)
     a = ctx.convert(a)
     b = ctx.convert(b)
     z = ctx.convert(z)
+    if not ctx.isfinite(a + b + z):  # all three finite, short of an overflow
+        raise UnsupportedRegion(f"kummer_u needs finite arguments, got a={a}, b={b}, z={z}")
     if ctx.mag(z) != abs(float(ctx.re(z))) or float(ctx.re(z)) <= 0:
         raise UnsupportedRegion(f"kummer_u requires real z > 0, got z={z!r}")
     z = ctx.re(z) if not isinstance(z, float) else z
@@ -429,8 +619,7 @@ def kummer_u(a, b, z, ctx=None):
         return ctx.power(z, 1 - b) * poly
 
     zf = float(ctx.re(z))
-    b_int = (abs(ctx.re(b) - nearest_integer(b)) <= 1e-12
-             and ctx.mag(b - ctx.re(b)) <= 1e-12)
+    b_int = is_nonpositive_integer(1 - b)  # b, a positive integer
 
     if ctx.kind == "hardware" and zf >= ASYMPTOTIC_Z_SWITCH:
         value, achieved = _hyp_u_asymptotic(a, b, z, ctx)
@@ -445,14 +634,13 @@ def kummer_u(a, b, z, ctx=None):
         if zf < SMALL_Z_CUTOFF:
             raise UnsupportedRegion(
                 f"integer-b U expansion refused below z={SMALL_Z_CUTOFF} (z={zf})")
-        guard = int(0.434 * zf) + 10
-        with ctx.extra_digits(guard) as gctx:
-            return ctx.convert(_hyp_u_log_case(gctx.convert(a), n, gctx.convert(z), gctx))
+        # the infinite sum carries its e^z cancellation, log2(e) = 1.443 bits per
+        # unit of z, as guard bits of its own
+        return _cancelling_sum(lambda g: _hyp_u_log_case(
+            g.convert(a), n, g.convert(z), g, int(1.443 * zf)), ctx, 10)
 
-    guard = int(0.434 * zf) + 10
-    with ctx.extra_digits(guard) as gctx:
-        return ctx.convert(_hyp_u_reflection(
-            gctx.convert(a), gctx.convert(b), gctx.convert(z), gctx))
+    return _cancelling_sum(lambda g: _hyp_u_reflection(
+        g.convert(a), g.convert(b), g.convert(z), g), ctx, int(0.434 * zf) + 10)
 
 
 # ---------------------------------------------------------------------------

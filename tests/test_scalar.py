@@ -26,6 +26,18 @@ def test_nonpositive_integer_exact_types():
     assert not is_nonpositive_integer(Fraction(-1, 2))
 
 
+def test_nonpositive_integer_mpmath_values_at_their_precision():
+    # extended values snap to the integer branches only within their own eps
+    ctx = extended(50)
+    assert is_nonpositive_integer(ctx.convert(-2))
+    assert is_nonpositive_integer(ctx.convert(-2) + ctx.convert("1e-52"))
+    assert is_nonpositive_integer(ctx.convert(complex(-3.0, 0.0)))
+    assert not is_nonpositive_integer(ctx.convert(-1.9999999999999991))
+    assert not is_nonpositive_integer(ctx.convert(-2) + ctx.convert("1e-30"))
+    assert not is_nonpositive_integer(ctx.convert(complex(-3.0, 1e-40)))
+    assert not is_nonpositive_integer(ctx.convert(2))
+
+
 def test_nonpositive_integer_float_tolerance():
     assert is_nonpositive_integer(-2.0 + 1e-13)
     assert not is_nonpositive_integer(-2.0 + 1e-9)
@@ -54,7 +66,7 @@ def test_hardware_convert_and_mag():
 def _general_convert(x):
     """HardwareContext.convert without its exact float/complex fast path."""
     if isinstance(x, complex):
-        return x
+        return complex(x)  # a numpy complex128 leaves as a builtin complex
     if isinstance(x, (int, float, Fraction)):
         return float(x)
     if isinstance(x, (mpmath.mpf, mpmath.mpc)):
@@ -104,6 +116,15 @@ def test_hardware_fast_paths_match_the_general_path(x):
     assert type(got_mag) is type(want_mag) and repr(got_mag) == repr(want_mag)
     if type(x) in (float, complex):
         assert repr(HARDWARE.abs(x)) == repr(got_mag)
+
+
+def test_numpy_complex_leaves_as_builtin_complex():
+    # a numpy complex128 used to pass through convert and reach the results
+    from whitadd.special_core import kummer_m
+
+    assert type(HARDWARE.convert(np.complex128(0.3))) is complex
+    assert type(HARDWARE.mag(np.complex128(1 + 1j))) is float
+    assert type(kummer_m(np.complex128(0.3), 1.7, 2.0)) is complex
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0, -3.0, -3.0 + 1e-13, -3.0 + 1e-11, 0.49,
@@ -157,6 +178,33 @@ def test_extended_eps_and_fraction_conversion():
     assert ctx.eps == pytest.approx(1e-39)
     third = ctx.convert(Fraction(1, 3))
     assert ctx.mag(third * 3 - 1) < 1e-38
+
+
+def test_extended_magnitudes_are_float_hypot():
+    ctx = extended(50)
+    for x in (mpmath.mpf("-2.5"), mpmath.mpc(3, -4), mpmath.mpc("1e200", "1e200"),
+              mpmath.mpc("1e-200", "-3e-200"), mpmath.mpf("1e-400")):
+        x = ctx.convert(x)
+        want = math.hypot(float(x.real), float(x.imag))
+        assert ctx.mag(x) == ctx.abs(x) == want
+        assert type(ctx.mag(x)) is float
+    assert ctx.mag(3) == 3.0
+
+
+def test_extended_fixed_point_round_trip():
+    ctx = extended(50)
+    wp = ctx.prec + 20
+    for x, real in ((ctx.convert(1) / 3, True), (ctx.convert(-2.75), True),
+                    (ctx.convert(0.3 - 1.7j), False)):
+        re, im = ctx.fixed(x, wp)
+        assert (im is None) == real
+        back = ctx.from_fixed(re, im, wp)
+        assert type(back) is type(x) and ctx.mag(back - x) <= 2.0 ** -ctx.prec
+    assert ctx.fixed(ctx.convert(0.75), 4) == (12, None)
+    base = ctx.prec
+    with ctx.workprec(300):
+        assert ctx.prec == 300
+    assert ctx.prec == base
 
 
 def test_extended_contexts_are_independent():

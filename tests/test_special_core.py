@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from helpers import assert_rel, golden_value, rel
-from whitadd.errors import IndexOutOfRange, PoleAtNonpositiveB, PoleHit, UnsupportedOrder
+from whitadd.errors import (
+    IndexOutOfRange,
+    PoleAtNonpositiveB,
+    PoleHit,
+    UnsupportedOrder,
+    UnsupportedRegion,
+)
 from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import (
     bessel_modified,
@@ -214,6 +220,16 @@ def test_kummer_u_values(golden):
     assert_rel(kummer_u(1.2, 0.7, 40.0), sp.hyperu(1.2, 0.7, 40.0), 1e-11)
     # polynomial case a = -n
     assert_rel(kummer_u(-2, 0.8, 1.1), sp.hyperu(-2, 0.8, 1.1), 1e-13)
+
+
+@pytest.mark.parametrize("ctx", [None, extended(50)], ids=["hardware", "extended"])
+def test_non_finite_parameters_are_unsupported(ctx):
+    # -inf used to escape as a bare OverflowError from round(-inf)
+    for fn, args in ((kummer_m, (-math.inf, 1.0, 1.0)), (kummer_u, (-math.inf, 1.5, 2.0)),
+                     (kummer_m, (0.5, -math.inf, 1.0)), (kummer_m, (0.5, 1.0, math.nan)),
+                     (kummer_u, (0.5, math.inf, 2.0))):
+        with pytest.raises(UnsupportedRegion):
+            fn(*args, ctx=ctx)
 
 
 def test_kummer_u_extended_agrees_with_hardware():
