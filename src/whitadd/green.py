@@ -34,6 +34,12 @@ FOUR_PI = 4.0 * math.pi
 # are treated as coincident rather than evaluated
 COINCIDENCE_RTOL = 1e-14
 
+# Gauss-Laguerre nodes of the first estimate and the most the doubling may reach
+QUADRATURE_START_NODES = 32
+QUADRATURE_MAX_NODES = 2048
+# relative stability at which radial_norm accepts its quadrature
+RADIAL_NORM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SphericalPoint:
@@ -273,16 +279,15 @@ def _laggauss(nodes: int):
     return np.polynomial.laguerre.laggauss(nodes)
 
 
-def gauss_laguerre_integral(fn, tol: float = 1e-10, start_nodes: int = 32,
-                            max_nodes: int = 2048) -> float:
+def gauss_laguerre_integral(fn, tol: float = 1e-10) -> float:
     """integral_0^inf e^{-t} fn(t) dt with node doubling until stable.
 
     fn may be vectorized over a numpy array; a pointwise fallback is applied
     when it is not.
     """
     prev = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
+    nodes = QUADRATURE_START_NODES
+    while nodes <= QUADRATURE_MAX_NODES:
         t, w = _laggauss(nodes)
         try:
             vals = np.asarray(fn(t), dtype=float)
@@ -296,10 +301,10 @@ def gauss_laguerre_integral(fn, tol: float = 1e-10, start_nodes: int = 32,
         prev = est
         nodes *= 2
     raise NoConvergence(
-        f"quadrature not stable to {tol} within {max_nodes} nodes")
+        f"quadrature not stable to {tol} within {QUADRATURE_MAX_NODES} nodes")
 
 
-def radial_norm(n: int, g: float, tol: float = 1e-10) -> float:
+def radial_norm(n: int, g: float) -> float:
     """integral_0^inf D_n(r) dr by Gauss-Laguerre; evaluates to n^2.
 
     The substitution t = g r/n absorbs the coupling entirely and matches the
@@ -312,4 +317,4 @@ def radial_norm(n: int, g: float, tol: float = 1e-10) -> float:
     def integrand(t):
         return np.array([ti * ti * density_polynomial(n, ti) for ti in t]) / (2.0 * n)
 
-    return gauss_laguerre_integral(integrand, tol=tol)
+    return gauss_laguerre_integral(integrand, tol=RADIAL_NORM_TOL)

@@ -437,7 +437,8 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
     §33.4, Barnett's COULFG, Comput. Phys. Commun. 27 (1982) 147, and
     Thompson & Barnett's COULCC, J. Comput. Phys. 64 (1986) 490).  A run of
     L orders costs l_t + 2 direct evaluations plus O(L) arithmetic instead
-    of 2L evaluations.
+    of 2L evaluations.  The Bessel sums of Graf and Gegenbauer run on the
+    same ladders at kappa = 0 (``_bessel_terms``).
     """
     def factory(ctx):
         k = ctx.convert(kappa)
@@ -460,6 +461,17 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
     return factory
 
 
+def _sum_in_range(terms, opts: SeriesOptions) -> SeriesOutcome:
+    """``sum_series`` of ``_term_product`` terms; a hardware term that leaves
+    the double range ends in NoConvergence, never in a truncated sum."""
+    try:
+        return sum_series(terms, opts)
+    except OverflowError as exc:
+        raise NoConvergence(
+            "series terms left the hardware range before the tail met "
+            "tolerance; raise the precision or loosen rel_tol") from exc
+
+
 def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
                     opts: SeriesOptions | None, closed) -> IdentityReport:
     """The partial-wave series of ``addition_terms`` against ``closed(ctx)``,
@@ -480,12 +492,7 @@ def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
         out = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
                             condition_number=1.0, tail_estimate=0.0)
     else:
-        try:
-            out = sum_series(addition_terms(kappa, geo, normalized), opts)
-        except OverflowError as exc:
-            raise NoConvergence(
-                "partial-wave terms left the hardware range before the tail met "
-                "tolerance; raise the precision or loosen rel_tol") from exc
+        out = _sum_in_range(addition_terms(kappa, geo, normalized), opts)
     return _report(out.value, closed(ctx), opts.precision, lhs_diag=out)
 
 
@@ -612,6 +619,25 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
 # Bessel-side addition theorems
 # ---------------------------------------------------------------------------
 
+def _bessel_terms(nu0, v, u, weights, ctx):
+    """Yield w_n I_{nu0+n}(v) K_{nu0+n}(u), n = 0, 1, ..., with w_n from
+    ``weights``.  The Bessel pair is the Whittaker pair at kappa = 0 (DLMF
+    §13.18(iii)): I_nu(v) = M_{0,nu}(2v)/(4^nu Gamma(nu+1) sqrt(2v)) and
+    K_nu(u) = sqrt(pi/(2u)) W_{0,nu}(2u), so both come from ``_mu_ladder``.
+    I runs by its ratio I_n = I_{n-1} (M_n/M_{n-1})/(4(nu0+n)), so 1/(4^n n!)
+    is never formed alone.  ``nu0``, ``v`` and ``u`` are values of ``ctx``.
+    """
+    zero = ctx.convert(0)
+    ms = _mu_ladder("M", zero, nu0, 2 * v, ctx)
+    ws = _mu_ladder("W", zero, nu0, 2 * u, ctx)
+    i_scale = 1 / (ctx.power(4, nu0) * ctx.gamma(nu0 + 1) * ctx.sqrt(2 * v))
+    k_scale = ctx.sqrt(ctx.pi / (2 * u))
+    for n, (weight, m, w) in enumerate(zip(weights, ms, ws)):
+        i_val = m * i_scale if n == 0 else i_val * (m / m_prev) / (4 * (nu0 + n))
+        m_prev = m
+        yield _term_product(k_scale, i_val, w, weight, n, ctx)
+
+
 def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> IdentityReport:
     """2D modified-Bessel addition: I0(k r0) K0(k r) + 2 sum I_n K_n cos(n phi)
     against K0(k R) with R the planar chord."""
@@ -620,30 +646,17 @@ def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> Identity
         raise GeometryViolation(f"need k > 0, got {k}")
     opts = opts or SeriesOptions()
     ctx = context_for(opts)
-    u, v = ctx.convert(r), ctx.convert(r0)
-    c = ctx.cos(ctx.convert(phi))
-    R = ctx.sqrt(u * u + v * v - 2 * u * v * c)
-    rhs = bessel_modified(0, ctx.convert(k) * R, "K", ctx=ctx)
+    kk, u, v, angle = (ctx.convert(x) for x in (k, r, r0, phi))
+    R = ctx.sqrt(u * u + v * v - 2 * u * v * ctx.cos(angle))
+    rhs = bessel_modified(0, kk * R, "K", ctx=ctx)
     if float(r0) == 0.0:
         # I_n(0) = 0 for n >= 1 and I_0(0) = 1: only the n=0 term survives
-        lhs = bessel_modified(0, ctx.convert(k) * ctx.convert(r), "K", ctx=ctx)
+        lhs = bessel_modified(0, kk * u, "K", ctx=ctx)
         diag = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
                              condition_number=1.0, tail_estimate=0.0)
         return _report(lhs, rhs, opts.precision, lhs_diag=diag)
-
-    def terms(c):
-        u = c.convert(k) * c.convert(r)
-        v = c.convert(k) * c.convert(r0)
-        n = 0
-        while True:
-            t = bessel_modified(n, v, "I", ctx=c) * bessel_modified(n, u, "K", ctx=c)
-            if n == 0:
-                yield t
-            else:
-                yield 2 * t * c.cos(n * c.convert(phi))
-            n += 1
-
-    out = sum_series(terms, opts)
+    weights = (ctx.cos(n * angle) * (2 if n else 1) for n in itertools.count())
+    out = _sum_in_range(_bessel_terms(ctx.convert(0), kk * v, kk * u, weights, ctx), opts)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
@@ -658,24 +671,14 @@ def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = No
     if abs(two_nu - round(two_nu)) > 1e-12 or round(two_nu) < 1:
         raise UnsupportedOrder(f"need 2*nu a positive integer, got nu={nu}")
     opts = opts or SeriesOptions()
-
-    def terms(ctx):
-        nn = ctx.convert(nu)
-        u = ctx.convert(r)
-        v = ctx.convert(r0)
-        c = ctx.convert(math.cos(float(gamma)))
-        pref = ctx.power(2, nn) * ctx.gamma(nn) / ctx.power(u * v, nn)
-        for n, g_val in enumerate(gegenbauer_ladder(nn, c)):
-            yield (pref * (nn + n)
-                   * bessel_modified(float(nu) + n, u, "K", ctx=ctx)
-                   * bessel_modified(float(nu) + n, v, "I", ctx=ctx) * g_val)
-
-    out = sum_series(terms, opts)
     ctx = context_for(opts)
-    u, v = ctx.convert(r), ctx.convert(r0)
+    nn, u, v = ctx.convert(nu), ctx.convert(r), ctx.convert(r0)
     c = ctx.convert(math.cos(float(gamma)))
+    pref = ctx.power(2, nn) * ctx.gamma(nn) / ctx.power(u * v, nn)
+    weights = (pref * (nn + n) * g_val for n, g_val in enumerate(gegenbauer_ladder(nn, c)))
+    out = _sum_in_range(_bessel_terms(nn, v, u, weights, ctx), opts)
     R = ctx.sqrt(u * u + v * v - 2 * u * v * c)
-    rhs = bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, ctx.convert(nu))
+    rhs = bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, nn)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 

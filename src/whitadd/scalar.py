@@ -146,17 +146,8 @@ class HardwareContext:
             return complex(base) ** expo
         return complex(base) ** complex(expo)
 
-    def sin(self, x):
-        return cmath.sin(x) if isinstance(x, complex) else math.sin(x)
-
     def cos(self, x):
         return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
-
-    def sinh(self, x):
-        return cmath.sinh(x) if isinstance(x, complex) else math.sinh(x)
-
-    def cosh(self, x):
-        return cmath.cosh(x) if isinstance(x, complex) else math.cosh(x)
 
     def gamma(self, x):
         if isinstance(x, complex):
@@ -273,17 +264,8 @@ class ExtendedContext:
     def power(self, base, expo):
         return self._mp.power(self.convert(base), self.convert(expo))
 
-    def sin(self, x):
-        return self._mp.sin(self.convert(x))
-
     def cos(self, x):
         return self._mp.cos(self.convert(x))
-
-    def sinh(self, x):
-        return self._mp.sinh(self.convert(x))
-
-    def cosh(self, x):
-        return self._mp.cosh(self.convert(x))
 
     def gamma(self, x):
         return self._mp.gamma(self.convert(x))

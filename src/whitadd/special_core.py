@@ -244,6 +244,8 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 
 def _hyp1f1_poly(m: int, b, z, ctx):
     """Terminating 1F1(-m; b; z); needs (b)_k != 0 only for k < m."""
+    if m == 0:  # the fixed-point body would charge a zero b's bits as lost
+        return ctx.convert(1)
     if ctx.kind != "hardware":
         return _fixed_point(_hyp1f1_fixed, (ctx.convert(-m), b, z, m, True), ctx)
     term = ctx.convert(1)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from whitadd import special_core
 from whitadd.errors import PrecisionExhausted, WhitaddError
-from whitadd.scalar import extended
-from whitadd.special_core import kummer_m, kummer_u, whittaker_m
+from whitadd.identities import verify_gegenbauer_addition
+from whitadd.scalar import HARDWARE, extended
+from whitadd.special_core import bessel_modified, kummer_m, kummer_u, whittaker_m, whittaker_w
+from whitadd.summation import SeriesOptions
 
 # relative agreement demanded at 50 digits, fixed before measuring
 TOL_50 = 1e-45
@@ -201,3 +203,20 @@ def test_terminating_whittaker_m_keeps_50_digits(z):
     got = whittaker_m((41, 0.5), z, ctx=extended(50))
     with mpmath.workdps(70):
         assert _rel(got, mpmath.whitm(41, 0.5, z)) <= TOL_50
+
+
+@pytest.mark.parametrize("z", [0.5, 3.7, 25.0])
+def test_empty_terminating_sum_keeps_50_digits(z):
+    # U(1, 2, z) = 1/z takes the terminating 1F1(0; 0; z): the empty sum,
+    # whose b = 0 has no bits for the fixed-point body to count as lost
+    ctx = extended(50)
+    with mpmath.workdps(70):
+        zz = mpmath.mpf(z)
+        assert _rel(kummer_u(1, 2, z, ctx=ctx), mpmath.hyperu(1, 2, zz)) <= TOL_50
+        assert _rel(whittaker_w((0, 0.5), z, ctx=ctx), mpmath.exp(-zz / 2)) <= TOL_50
+        assert _rel(bessel_modified(0.5, z, "K", ctx=ctx), mpmath.besselk(0.5, zz)) <= TOL_50
+    rep = verify_gegenbauer_addition(0.5, 0.5, z + 1, 1.0,
+                                     opts=SeriesOptions(rel_tol=1e-46, precision=("extended", 50)))
+    assert rep.rel_err <= TOL_50
+    # on hardware the early return gives the loop's own 1.0
+    assert special_core._hyp1f1_poly(0, 0.0, z, HARDWARE) == 1.0

@@ -230,6 +230,20 @@ def test_gegenbauer_addition():
         verify_gegenbauer_addition(1.0, 0.0, 3.0, 1.0)
 
 
+def test_bessel_sums_on_the_order_ladder_at_hardware():
+    # evaluated per order, K_n(36) is off by up to 100% from n = 10 on (the
+    # large-z branch of kummer_u) and r^(mu+1/2) overflows at high orders;
+    # the kappa = 0 ladders are neither
+    assert verify_graf_2d(3.0, 5.0, 12.0, 0.628).rel_err < 1e-10
+    assert verify_gegenbauer_addition(0.5, 2.0, 2.5, 2.0).rel_err < 1e-10
+    # r0/r = 0.9: the terms leave the double range before the tail meets
+    # tolerance, which must be refused, not returned truncated
+    with pytest.raises(NoConvergence):
+        verify_gegenbauer_addition(1.5, 9.0, 10.0, 0.3)
+    with pytest.raises(NoConvergence):
+        verify_graf_2d(1.0, 9.0, 10.0, 2.0)
+
+
 def test_spherical_addition():
     assert verify_spherical_addition(7, 0.7, 1.1, 2.0, -0.4).rel_err < 1e-12
     assert verify_spherical_addition(0, 0.7, 1.1, 2.0, -0.4).rel_err < 1e-14

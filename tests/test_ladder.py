@@ -11,7 +11,8 @@ from whitadd import identities, special_core
 from whitadd.errors import NoConvergence
 from whitadd.green import CoulombParams, SphericalPoint, partial_wave_green
 from whitadd.identities import (_mu_ladder, geometry_from, hostler_bracket, verify_gamma_pi,
-                                verify_gamma_zero, verify_whittaker_addition)
+                                verify_gamma_zero, verify_gegenbauer_addition, verify_graf_2d,
+                                verify_whittaker_addition)
 from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import whittaker_m, whittaker_w
 from whitadd.summation import SeriesOptions
@@ -210,3 +211,35 @@ def test_overflowing_w_ladder_is_no_convergence(r0, r):
         verify_gamma_zero(0.3, r0, r)
     with pytest.raises(NoConvergence):
         verify_gamma_pi(0.3, r0, r)
+
+
+@pytest.mark.parametrize("nu0", [0, 0.5, 1, 2.5])
+def test_bessel_products_keep_50_digits(nu0):
+    # I_{nu0+n}(v) K_{nu0+n}(u) from the kappa = 0 ladders against mpmath's
+    # Bessel functions, which share no code with them
+    ctx = extended(50)
+    for v, u in ((0.375, 1.25), (2.0, 3.0), (19.0, 20.0)):
+        run = list(itertools.islice(identities._bessel_terms(
+            ctx.convert(nu0), ctx.convert(v), ctx.convert(u), itertools.repeat(1), ctx), ORDERS))
+        with mpmath.workdps(60):
+            for n in (0, 1, 5, 20, ORDERS - 1):
+                nu = mpmath.mpf(nu0) + n
+                ref = mpmath.besseli(nu, v) * mpmath.besselk(nu, u)
+                assert _gap(run[n], ref) < 1e-49, f"v={v} u={u} n={n}"
+
+
+def test_bessel_sums_call_bessel_modified_only_for_the_closed_side(monkeypatch):
+    calls = []
+
+    def counted(nu, z, kind, ctx=None):
+        calls.append((nu, kind))
+        return special_core.bessel_modified(nu, z, kind, ctx=ctx)
+
+    monkeypatch.setattr(identities, "bessel_modified", counted)
+    for opts in (SeriesOptions(), SeriesOptions(rel_tol=1e-28, precision=("extended", 30))):
+        calls.clear()
+        assert verify_graf_2d(1.0, 1.0, 3.0, 2.0, opts=opts).rel_err < 1e-12
+        assert calls == [(0, "K")]
+        calls.clear()
+        assert verify_gegenbauer_addition(1, 1.0, 4.0, 1.2, opts=opts).rel_err < 1e-12
+        assert calls == [(1, "K")]
