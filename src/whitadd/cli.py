@@ -55,8 +55,6 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
 from .errors import WhitaddError
 from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
 from .green import (CoulombParams, SphericalPoint, density_polynomial,
@@ -878,8 +876,7 @@ def _density_integrals(bound):
     for n in range(1, 7):
         errs.append(_rel(radial_norm(n, 1.9), n * n))
         v = gauss_laguerre_integral(
-            lambda t, n=n: np.array([ti * ti * density_polynomial(n, ti)
-                                     for ti in t]))
+            lambda t, n=n: [ti * ti * density_polynomial(n, ti) for ti in t])
         errs.append(_rel(v, 2 * n ** 3))
     return _within(errs, bound)
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (CoincidentPoints, CoincidentRadii, GeometryViolation,
                      IndexOutOfRange, NoConvergence, UnsupportedRegion)
 from .identities import (KAPPA_GUARD, addition_terms, geometry_from_cosine,
@@ -276,15 +274,21 @@ def radial_distribution(n: int, g: float, r: float) -> float:
 
 @lru_cache(maxsize=None)
 def _laggauss(nodes: int):
-    return np.polynomial.laguerre.laggauss(nodes)
+    from numpy.polynomial.laguerre import laggauss
+
+    return laggauss(nodes)
 
 
 def gauss_laguerre_integral(fn, tol: float = 1e-10) -> float:
     """integral_0^inf e^{-t} fn(t) dt with node doubling until stable.
 
-    fn may be vectorized over a numpy array; a pointwise fallback is applied
-    when it is not.
+    fn is called with the nodes as a numpy array and may return a sequence
+    of values of the same length; a pointwise fallback is applied when it
+    cannot. numpy is imported here, at call time, so ``import whitadd``
+    does not load it.
     """
+    import numpy as np
+
     prev = None
     nodes = QUADRATURE_START_NODES
     while nodes <= QUADRATURE_MAX_NODES:
@@ -315,6 +319,6 @@ def radial_norm(n: int, g: float) -> float:
         raise IndexOutOfRange(f"need n >= 1, got n={n}")
 
     def integrand(t):
-        return np.array([ti * ti * density_polynomial(n, ti) for ti in t]) / (2.0 * n)
+        return [ti * ti * density_polynomial(n, ti) / (2.0 * n) for ti in t]
 
     return gauss_laguerre_integral(integrand, tol=RADIAL_NORM_TOL)

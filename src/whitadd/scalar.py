@@ -4,7 +4,11 @@ All function evaluators in this package are written once, generically, against
 the small interface below. Two implementations are provided:
 
 * ``HardwareContext`` -- native float/complex with scipy.special supplying the
-  gamma family. This is the default for every public entry point. Once
+  gamma family. This is the default for every public entry point.
+  ``scipy.special`` is imported by the first hardware ``gamma``,
+  ``loggamma``, ``rgamma`` or ``digamma`` call, not by ``import whitadd``,
+  so a process that stays at extended precision never loads scipy (or the
+  numpy under it). Once
   converted, every hardware value is exactly a ``float`` or a ``complex``, so
   ``convert`` and ``mag`` serve those two exact types first and return at
   once (``mag`` is then plain ``abs``); every other type -- ``int``,
@@ -42,7 +46,6 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import round_nearest, to_fixed, to_float
-from scipy import special as _sp
 
 _INTEGER_MATCH_TOL = 1e-12
 
@@ -81,6 +84,25 @@ def is_nonpositive_integer(x) -> bool:
 
 def nearest_integer(x) -> int:
     return int(round(float(getattr(x, "real", x))))
+
+
+class _SpecialLoader:
+    """Stands in for ``scipy.special`` until its first use.
+
+    The first attribute looked up imports the module and binds the global
+    ``_sp`` to it, so every later gamma-family call reaches scipy through a
+    plain global lookup, as a module-level import would.
+    """
+
+    def __getattr__(self, name):
+        global _sp
+        from scipy import special
+
+        _sp = special
+        return getattr(special, name)
+
+
+_sp = _SpecialLoader()
 
 
 class HardwareContext:

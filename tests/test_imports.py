@@ -4,9 +4,14 @@ The modules form a stack: errors, scalar, special_core, summation,
 identities, green, golden, cli.  Each may import only modules below it, at
 module level or inside a function, and no module imports an underscore name
 from another.  ``__init__`` is the package's front and imports them all.
+
+scipy and numpy are imported only inside the functions that use them, so a
+process on the extended-precision path loads neither.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "whitadd"
@@ -54,3 +59,60 @@ def test_imports_point_down_the_stack():
               for i, module in enumerate(ORDER) for target, _ in _imports(module)
               if target not in ORDER[:i]]
     assert upward == []
+
+
+# the functions that load scipy or numpy on first use; nothing else imports them
+LOADERS = {("scalar", "_SpecialLoader.__getattr__"), ("green", "_laggauss"),
+           ("green", "gauss_laguerre_integral")}
+
+
+def _heavy_imports(node, module: str, scope: str | None = None):
+    """(module, enclosing function's qualified name or None) for every
+    import of scipy or numpy under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            roots = [child.module.split(".")[0]]
+        else:
+            roots = []
+        if {"scipy", "numpy"} & set(roots):
+            yield module, scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope is None else f"{scope}.{child.name}"
+        yield from _heavy_imports(child, module, inner)
+
+
+def test_scipy_and_numpy_are_imported_only_by_their_loaders():
+    found = {site for path in sorted(PACKAGE.glob("*.py"))
+             for site in _heavy_imports(ast.parse(path.read_text()), path.stem)}
+    assert found == LOADERS
+
+
+LAZY_PROBE = """
+import sys
+import whitadd, whitadd.cli
+ext50 = whitadd.SeriesOptions(rel_tol=1e-45, max_terms=100_000, precision=("extended", 50))
+reports = [whitadd.verify_whittaker_addition(0.3, whitadd.geometry_from(8.0, 0.5, 1.0), ext50),
+           whitadd.verify_w_downward_sum(2, complex(0.3, 0.2), 1.0, 2.0, ext50)]
+print(all(rep.ok(1e-40) for rep in reports))
+print(sorted(name for name in ("scipy", "numpy") if name in sys.modules))
+# U(a, a+1, z) = z^-a makes no gamma call; W_{0.3,0.5} does
+whitadd.kummer_u(0.5, 1.5, 2.0)
+whitadd.whittaker_w((0.3, 0.5), 2.0)
+print(whitadd.scalar._sp is sys.modules.get("scipy.special"))
+"""
+
+
+def test_extended_precision_path_loads_neither_scipy_nor_numpy():
+    # a fresh interpreter: this one has scipy loaded already
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={"PYTHONPATH": str(PACKAGE.parent)})
+    passed, loaded, bound = proc.stdout.split("\n")[:3]
+    assert passed == "True"
+    assert loaded == "[]"
+    # the first hardware gamma call imports scipy.special and binds the
+    # module itself, so later calls do not pass through the loader
+    assert bound == "True"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from whitadd.scalar import (
     HARDWARE,
@@ -239,3 +240,21 @@ def test_resolve():
     assert resolve(None) is HARDWARE
     ctx = extended(35)
     assert resolve(ctx) is ctx
+
+
+# reals and complexes, the poles 0, -1, -2, negative reals (where loggamma
+# is complex) and gamma's overflow above 171.6
+GAMMA_FAMILY_ARGS = (2.3, 0.5, 1e-300, 7.25, 171.5, 171.7, 250.0, 0.0, -0.0, -1.0,
+                     -2.0, -0.5, -2.5, -171.5, complex(0.5, 1.0), complex(-2.5, 0.3),
+                     complex(30.0, -40.0), complex(-1.0, 0.0), complex(171.7, 0.0))
+
+
+@pytest.mark.parametrize("name", ["gamma", "loggamma", "rgamma", "digamma"])
+def test_hardware_gamma_family_is_scipy_bit_for_bit(name):
+    # repr equality: == on every bit, NaN matching NaN and -0.0 told from 0.0
+    for x in GAMMA_FAMILY_ARGS:
+        if name == "loggamma" and not isinstance(x, complex) and x <= 0:
+            expected = complex(special.loggamma(complex(x)))
+        else:
+            expected = type(x)(getattr(special, name)(x))
+        assert repr(getattr(HARDWARE, name)(x)) == repr(expected), (name, x)
