@@ -3,8 +3,9 @@
 Each verifier evaluates the two sides of one identity through deliberately
 disjoint code paths -- the expansion side through the diagnosed series engine,
 the compact side through closed-form Whittaker/Bessel/Laguerre brackets -- and
-reports the residual together with the series diagnostics. A small residual
-is then genuine evidence: a bug in a shared intermediate cannot cancel itself.
+reports the residual, taken at the working precision of the two sides,
+together with the series diagnostics. A small residual is then genuine
+evidence: a bug in a shared intermediate cannot cancel itself.
 
 The identities covered, in the order they appear below:
 
@@ -84,6 +85,18 @@ CF_MAX_TERMS = 10_000
 # the forward W step divides by nu+1-kappa; closer than this to zero (kappa
 # near a bound-state pole) the next order is evaluated directly instead
 W_STEP_GUARD = 0.5
+
+# bits above the working precision that the fixed-point ladders carry, on top
+# of the bits that |z| away from 1 costs their ratios and 1/z.  The ratios
+# never shrink with the order: M_l/M_{l-1} tends to z and W_l/W_{l-1} grows
+# like 4 l^2/z, so each keeps ctx.prec + LADDER_GUARD_BITS significant bits
+# or more, and a run of L orders spends about log2 L of the guard on the
+# roundings of its running product
+LADDER_GUARD_BITS = 32
+
+# the continued fraction of an M ratio stops once a step changes it by at
+# most 2^-(ctx.prec + CF_TOL_BITS)
+CF_TOL_BITS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +227,21 @@ class ExactReport:
 
 
 def _report(lhs, rhs, precision, lhs_diag=None) -> IdentityReport:
-    abs_err = abs(complex(lhs) - complex(rhs))
-    scale = max(abs(complex(lhs)), abs(complex(rhs)), REL_ERR_FLOOR)
-    return IdentityReport(lhs=lhs, rhs=rhs, abs_err=abs_err,
-                          rel_err=abs_err / scale, lhs_diag=lhs_diag,
-                          precision=precision)
+    """The residual of lhs against rhs, computed in the arithmetic of the
+    sides (mpmath at its working precision when either side is an mpmath
+    value, else doubles) and rounded to floats only at the end."""
+    mp = getattr(lhs, "context", None) or getattr(rhs, "context", None)
+    if mp is None:
+        abs_err = abs(complex(lhs) - complex(rhs))
+        scale = max(abs(complex(lhs)), abs(complex(rhs)), REL_ERR_FLOOR)
+        rel_err = abs_err / scale
+    else:
+        a, b = mp.convert(lhs), mp.convert(rhs)
+        diff = abs(a - b)
+        abs_err = float(diff)
+        rel_err = float(diff / max(abs(a), abs(b), REL_ERR_FLOOR))
+    return IdentityReport(lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
+                          lhs_diag=lhs_diag, precision=precision)
 
 
 def near_positive_integer(kappa, guard: float = KAPPA_GUARD) -> bool:
@@ -344,16 +367,20 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
     coefficients of the M recurrence a_l M_{l+1} = b_l M_l + c_l M_{l-1}.
     No M is evaluated directly from l_t on, and on hardware a run that
     leaves the double range underflows gradually, as the direct values do.
+    On an extended context the values are v_{l-1} rho_l with the ratios of
+    ``_fixed_ladder``, the running product kept on integers.
     ``k``, ``mu0`` and ``z`` are values of ``ctx``.
     """
+    if ctx.kind == "hardware":
+        return _hardware_ladder(kind, k, mu0, z, ctx)
+    return _fixed_values(kind, k, mu0, z, ctx)
+
+
+def _hardware_ladder(kind: str, k, mu0, z, ctx):
+    """The hardware body of ``_mu_ladder``."""
     half = ctx.convert(1) / 2
     if kind == "W":
-        # nu+1-k = mu0+l+1/2-k is nearest zero at the two orders around
-        # Re(k-mu0-1/2); the test is the step's own divisor, bit for bit
-        d = float(ctx.re(k - mu0 - half))
-        near = math.floor(d) if math.isfinite(d) else -1
-        guarded = {ell for ell in (near, near + 1)
-                   if ell >= 1 and ctx.mag(mu0 + ell - half + 1 - k) < W_STEP_GUARD}
+        guarded = _guarded_w_steps(k, mu0, ctx)
         prev = whittaker_w((k, mu0), z, ctx=ctx)
         yield prev
         cur = whittaker_w((k, mu0 + 1), z, ctx=ctx)
@@ -393,6 +420,223 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
         for rho in reversed(ratios):
             m = m * rho
             yield m
+
+
+def _guarded_w_steps(k, mu0, ctx) -> set:
+    """The orders l >= 1 whose forward W step divisor nu+1-k lies within
+    W_STEP_GUARD of zero, nu = mu0+l-1/2.  nu+1-k is nearest zero at the two
+    orders around Re(k-mu0-1/2); the test is the step's own divisor, bit for
+    bit."""
+    half = ctx.convert(1) / 2
+    d = float(ctx.re(k - mu0 - half))
+    near = math.floor(d) if math.isfinite(d) else -1
+    return {ell for ell in (near, near + 1)
+            if ell >= 1 and ctx.mag(mu0 + ell - half + 1 - k) < W_STEP_GUARD}
+
+
+# ---------------------------------------------------------------------------
+# the ladders on fixed-point integers (extended contexts)
+# ---------------------------------------------------------------------------
+#
+# A fixed-point number with wp fractional bits is an integer pair (re, im)
+# standing for (re + i im) / 2^wp; a real value has im = 0.  A floating one
+# is (re, im, s) for (re + i im) / 2^s, with the larger part kept at wp bits.
+
+def _ladder_precision(ctx, *zs) -> int:
+    """Fractional bits of the fixed-point ladders at the arguments zs:
+    ctx.prec + LADDER_GUARD_BITS + the bits of |z| away from 1."""
+    extra = max((abs(ctx.exponent(z)) for z in zs if z != 0), default=0)
+    return ctx.prec + LADDER_GUARD_BITS + extra
+
+
+def _pair(ctx, v, wp: int) -> tuple:
+    re, im = ctx.fixed(v, wp)
+    return re, im or 0
+
+
+def _floating(ctx, v, wp: int) -> tuple:
+    """The ctx value v as a floating (re, im, s) with wp bits."""
+    s = wp - ctx.exponent(v)
+    return (*_pair(ctx, v, s), s)
+
+
+def _fixed_quotient(ctx, num, den, wp: int) -> tuple:
+    """num/den of two ctx values as a fixed-point pair."""
+    with ctx.workprec(wp):
+        q = num / den
+    return _pair(ctx, q, wp)
+
+
+def _cdiv(xr: int, xi: int, yr: int, yi: int, wp: int) -> tuple:
+    """(xr + i xi) / (yr + i yi) of fixed-point pairs."""
+    if not yi:
+        return (xr << wp) // yr, (xi << wp) // yr
+    d = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << wp) // d, ((xi * yr - xr * yi) << wp) // d
+
+
+def _renormalize(re: int, im: int, s: int, wp: int) -> tuple:
+    """Round the floating (re, im, s) down to wp bits."""
+    n = max(abs(re), abs(im)).bit_length() - wp
+    if n > 0:
+        return re >> n, im >> n, s - n
+    return re, im, s
+
+
+def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
+    """(v_0, ratios): the value at mu0 of the M or W ladder of ``_mu_ladder``
+    and an iterator of its ratios v_l/v_{l-1}, l = 1, 2, ..., as fixed-point
+    pairs with wp fractional bits, for an extended ctx.  k, mu0 and z may
+    be complex; nu and every coefficient are then pairs too.
+
+    The recurrences of ``addition_terms`` run in ratio form with every
+    coefficient divided by 2(2nu+1), nu = mu0+l-1/2:
+    a' = nu((nu+1)^2-k^2)/(2(nu+1)(2nu+1)(2nu+3)), b' = k - 2nu(nu+1)/z and
+    c' = 2nu(nu+1), so that rho_l = c'_l/(a'_l rho_{l+1} - b'_l) keeps all
+    three near their natural sizes (1/8, 2nu^2/z, 2nu^2).  Below l_t the M
+    ratios are quotients of direct values; past it each run of M_RATIO_RUN
+    orders starts at its top from the continued fraction, by modified Lentz
+    (Thompson & Barnett, J. Comput. Phys. 64 (1986) 490) with level n
+    scaled by a power of two that brings b'_{l+n} below 1.  A vanishing a'
+    is an exact integer zero and ends the fraction.  W ratios
+    sigma_l = W_l/W_{l-1} come from the forward recurrence divided by W_l,
+
+        sigma_{l+1} = ((2nu+1)(2nu(nu+1)/z - k) + (nu+1)(nu+k)/sigma_l)
+                      / (nu(nu+1-k)),
+
+    except at a step of ``_guarded_w_steps``, where W_{l+1} is evaluated
+    directly and divided by the running product W_l.
+    """
+    seed = (whittaker_w if kind == "W" else whittaker_m)((k, mu0), z, ctx=ctx)
+    one = 1 << wp
+    kr, ki = _pair(ctx, k, wp)
+    # nu_l = nu0 + l + i ni: only the real part moves with the order
+    nu0, ni = _pair(ctx, mu0, wp)
+    nu0 -= one >> 1
+    with ctx.workprec(wp):
+        izr, izi = _pair(ctx, 1 / z, wp)
+
+    if kind == "W":
+        guarded = _guarded_w_steps(k, mu0, ctx)
+
+        def w_ratios():
+            w1 = whittaker_w((k, mu0 + 1), z, ctx=ctx)
+            sr, si = _fixed_quotient(ctx, w1, seed, wp)
+            # W_l as a floating product, needed only at a guarded step
+            wr, wi, ws = _floating(ctx, w1, wp) if guarded else (0, 0, 0)
+            for ell in itertools.count(1):
+                yield sr, si
+                if ell in guarded:
+                    nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
+                    sr, si = _fixed_quotient(
+                        ctx, nxt, ctx.from_fixed(wr, wi, ws), wp)
+                else:
+                    n = nu0 + ell * one
+                    n1 = n + one
+                    tr, ti = 2 * (n * n1 - ni * ni) >> wp, 2 * ni * (n + n1) >> wp
+                    ur = (tr * izr - ti * izi >> wp) - kr
+                    ui = (tr * izi + ti * izr >> wp) - ki
+                    mr, mi = 2 * n + one, 2 * ni
+                    pr, pi = n + kr, ni + ki
+                    qr, qi = _cdiv(n1 * pr - ni * pi >> wp, n1 * pi + ni * pr >> wp,
+                                   sr, si, wp)
+                    dr, di = n1 - kr, ni - ki
+                    sr, si = _cdiv((mr * ur - mi * ui >> wp) + qr,
+                                   (mr * ui + mi * ur >> wp) + qi,
+                                   n * dr - ni * di >> wp, n * di + ni * dr >> wp, wp)
+                if guarded:
+                    wr, wi, ws = _renormalize(wr * sr - wi * si, wr * si + wi * sr,
+                                              ws + wp, wp)
+        return seed, w_ratios()
+
+    kkr, kki = kr * kr - ki * ki, 2 * kr * ki
+    nn = ni * ni
+
+    def coefficients(j):
+        # a' = nu((nu+1)^2 - k^2)/(2(nu+1)(2nu+1)(2nu+3)) as a quotient of
+        # two pairs at 3 wp bits; b' = k - c'/z; c' = 2nu(nu+1)
+        n = nu0 + j * one
+        n1 = n + one
+        sr, si = n1 * n1 - nn - kkr, 2 * n1 * ni - kki
+        er = (2 * n + one) * (2 * n + 3 * one) - 4 * nn
+        ei = 8 * ni * n1
+        ar, ai = _cdiv(n * sr - ni * si, n * si + ni * sr,
+                       2 * (n1 * er - ni * ei), 2 * (n1 * ei + ni * er), wp)
+        cr, ci = 2 * (n * n1 - nn) >> wp, 2 * ni * (n + n1) >> wp
+        return (ar, ai, kr - (cr * izr - ci * izi >> wp),
+                ki - (cr * izi + ci * izr >> wp), cr, ci)
+
+    tol = 1 << (wp - ctx.prec - CF_TOL_BITS)
+
+    def top_ratio(j):
+        # rho_j = c'_j/(-b'_j + a'_j c'_{j+1}/(-b'_{j+1} + a'_{j+1} c'_{j+2}/...))
+        ar, ai, br, bi, c0r, c0i = coefficients(j)
+        s0 = max(0, max(abs(br), abs(bi)).bit_length() - wp)
+        fr, fi = -br >> s0, -bi >> s0
+        if not (fr or fi):
+            fr = 1
+        cr, ci, dr, di, s = fr, fi, 0, 0, s0
+        for n in range(1, CF_MAX_TERMS):
+            a_nr, a_ni, br, bi, gr, gi = coefficients(j + n)
+            s_n = max(0, max(abs(br), abs(bi)).bit_length() - wp)
+            br, bi = -br >> s_n, -bi >> s_n
+            shift = wp + s + s_n
+            pr, pi = ar * gr - ai * gi >> shift, ar * gi + ai * gr >> shift
+            dr, di = br + (pr * dr - pi * di >> wp), bi + (pr * di + pi * dr >> wp)
+            if not (dr or di):
+                dr = 1
+            dd = dr * dr + di * di
+            dr, di = (dr << 2 * wp) // dd, (-di << 2 * wp) // dd
+            qr, qi = _cdiv(pr, pi, cr, ci, wp)
+            cr, ci = br + qr, bi + qi
+            if not (cr or ci):
+                cr = 1
+            er, ei = cr * dr - ci * di >> wp, cr * di + ci * dr >> wp
+            fr, fi = fr * er - fi * ei >> wp, fr * ei + fi * er >> wp
+            if abs(er - one) <= tol and abs(ei) <= tol:
+                return _cdiv(c0r, c0i, fr << s0, fi << s0, wp)
+            ar, ai, s = a_nr, a_ni, s_n
+        raise NoConvergence(f"M ratio continued fraction at order {j} did not "
+                            f"converge in {CF_MAX_TERMS} terms")
+
+    ell_t = math.ceil(math.sqrt(ctx.mag(z)))
+
+    def m_ratios():
+        prev = seed
+        for ell in range(1, ell_t):
+            m = whittaker_m((k, mu0 + ell), z, ctx=ctx)
+            yield _fixed_quotient(ctx, m, prev, wp)
+            prev = m
+        for lo in itertools.count(ell_t, M_RATIO_RUN):
+            top = lo + M_RATIO_RUN - 1
+            rho = top_ratio(top)
+            ratios = [rho]
+            for j in range(top - 1, lo - 1, -1):
+                ar, ai, br, bi, cr, ci = coefficients(j)
+                rr, ri = rho
+                rho = _cdiv(cr, ci, (ar * rr - ai * ri >> wp) - br,
+                            (ar * ri + ai * rr >> wp) - bi, wp)
+                ratios.append(rho)
+            yield from reversed(ratios)
+    return seed, m_ratios()
+
+
+def _fixed_values(kind: str, k, mu0, z, ctx):
+    """The extended body of ``_mu_ladder``: v_0, then v_{l-1} rho_l with the
+    ratios of ``_fixed_ladder`` and the running product on integers."""
+    wp = _ladder_precision(ctx, z)
+    v, ratios = _fixed_ladder(kind, k, mu0, z, ctx, wp)
+    yield v
+    real = _is_real(k, mu0, z)
+    vr, vi, s = _floating(ctx, v, wp)
+    for rr, ri in ratios:
+        vr, vi, s = _renormalize(vr * rr - vi * ri, vr * ri + vi * rr, s + wp, wp)
+        yield ctx.from_fixed(vr, None if real else vi, s)
+
+
+def _is_real(*values) -> bool:
+    """True when no value is an mpmath complex."""
+    return all(getattr(v, "_mpc_", None) is None for v in values)
 
 
 def _coefficients(k, first: int, c):
@@ -439,6 +683,18 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
     L orders costs l_t + 2 direct evaluations plus O(L) arithmetic instead
     of 2L evaluations.  The Bessel sums of Graf and Gegenbauer run on the
     same ladders at kappa = 0 (``_bessel_terms``).
+
+    That is the hardware path.  On an extended context (``_fixed_terms``)
+    each term is built on Python integers at the working precision plus
+    guard bits, the technique of the fixed-point Kummer loops: a running
+    product starts from T_first = Gamma(first+1-kappa)/((2 first)! r r0)
+    M_first W_first (normalized: the Pochhammer (1-kappa)_first in place of
+    the Gamma) and each step to order l multiplies it by the coefficient
+    step (l-kappa)/((2l-1) 2l) and the ratios M_l/M_{l-1} and W_l/W_{l-1}
+    that ``_fixed_ladder`` gives from the same recurrences; the Legendre
+    recurrence runs on the same integers and is applied per term.  No
+    factor is formed alone, and one rounding to the context is made per
+    term.
     """
     def factory(ctx):
         k = ctx.convert(kappa)
@@ -450,15 +706,48 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
             pref = pref * ctx.gamma(first + 1 - k)
         elif first:
             pref = pref * pochhammer(1 - k, first)
-        coeffs = _coefficients(k, first, ctx.convert(1) / math.factorial(2 * first))
+        c_first = ctx.convert(1) / math.factorial(2 * first)
+        mu0 = half + first
+        if ctx.kind != "hardware":
+            yield from _fixed_terms(k, r0, r, ctx.convert(geo.cos_gamma), pref * c_first,
+                                    mu0, first, ctx)
+            return
         legendre = itertools.islice(
             gegenbauer_ladder(half, ctx.convert(geo.cos_gamma)), first, None)
-        mu0 = half + first
-        terms = zip(itertools.count(first), coeffs, legendre,
+        terms = zip(itertools.count(first), _coefficients(k, first, c_first), legendre,
                     _mu_ladder("M", k, mu0, r0, ctx), _mu_ladder("W", k, mu0, r, ctx))
         for ell, coeff, p_val, mv, wv in terms:
             yield _term_product(pref * coeff, mv, wv, p_val, ell, ctx)
     return factory
+
+
+def _fixed_terms(k, r0, r, x, scale, mu0, first: int, ctx):
+    """The extended body of ``addition_terms``: T_l P_l(x), l = first, ...,
+    where T_first = scale M_first W_first and each step to order l multiplies
+    the running product by the three ratios (l-k)/((2l-1) 2l) of the
+    coefficients, rho_l and sigma_l of ``_fixed_ladder``, all on integers at
+    the ladder precision; the Legendre recurrence runs on the same integers
+    and is applied per term."""
+    wp = _ladder_precision(ctx, r0, r)
+    one = 1 << wp
+    m, rhos = _fixed_ladder("M", k, mu0, r0, ctx, wp)
+    w, sigmas = _fixed_ladder("W", k, mu0, r, ctx, wp)
+    tr, ti, s = _floating(ctx, scale * m * w, wp)
+    kr, ki = _pair(ctx, k, wp)
+    real = _is_real(k)
+    xr = _pair(ctx, x, wp)[0]
+    p_prev, p = 0, one  # P_{l-2}, P_{l-1}: l P_l = (2l-1) x P_{l-1} - (l-1) P_{l-2}
+    for ell in itertools.count(1):
+        if ell > first:
+            yield ctx.from_fixed(tr * p, None if real else ti * p, s + wp)
+            rr, ri = next(rhos)
+            sr, si = next(sigmas)
+            tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
+            tr, ti = tr * sr - ti * si, tr * si + ti * sr
+            cr, q = ell * one - kr, (2 * ell - 1) * 2 * ell
+            tr, ti = (tr * cr + ti * ki) // q, (ti * cr - tr * ki) // q
+            tr, ti, s = _renormalize(tr, ti, s + 3 * wp, wp)
+        p, p_prev = ((2 * ell - 1) * (xr * p >> wp) - (ell - 1) * p_prev) // ell, p
 
 
 def _sum_in_range(terms, opts: SeriesOptions) -> SeriesOutcome:
@@ -959,7 +1248,7 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
         k = ctx.convert(kappa)
         m = ctx.convert(mu)
         zz = ctx.convert(z)
-        c = ctx.convert(math.cos(float(gamma)))
+        c = ctx.cos(ctx.convert(gamma))
         half = ctx.convert(1) / 2
         pref = ctx.power(zz, -(m + half))
         coeff = ctx.convert(1)

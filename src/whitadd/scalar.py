@@ -23,9 +23,9 @@ the small interface below. Two implementations are provided:
   magnitudes ``mag`` and ``abs`` are floats taken from the float parts,
   ``math.hypot(float(re), float(im))``: a square root instead of an mpmath
   ``hypot`` at full precision, for values that only steer stop rules and
-  comparisons. ``fixed``, ``from_fixed`` and ``workprec`` carry values to
-  and from the fixed-point integers of the Kummer series loops
-  (``special_core``).
+  comparisons. ``fixed``, ``from_fixed``, ``exponent`` and ``workprec``
+  carry values to and from the fixed-point integers of the Kummer series
+  loops (``special_core``) and of the order ladders (``identities``).
 
 Each ExtendedContext owns a private mpmath context clone, so it never races
 on mpmath's global precision. A clone costs about 0.6 ms and every value it
@@ -45,7 +45,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import round_nearest, to_fixed, to_float
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed, to_float
 
 _INTEGER_MATCH_TOL = 1e-12
 
@@ -259,11 +259,18 @@ class ExtendedContext:
         return to_fixed(v[0], wp), to_fixed(v[1], wp)
 
     def from_fixed(self, re: int, im, wp: int):
-        """(re + i im) / 2^wp at the working precision; real when im is None."""
-        mpf = self._mp.mpf
+        """(re + i im) / 2^wp rounded to the working precision; real when im
+        is None.  wp may be any integer, so a mantissa with a scale."""
+        mp = self._mp
+        prec, rnd = mp._prec_rounding
         if im is None:
-            return mpf((re, -wp))
-        return self._mp.mpc(mpf((re, -wp)), mpf((im, -wp)))
+            return mp.make_mpf(from_man_exp(re, -wp, prec, rnd))
+        return mp.make_mpc((from_man_exp(re, -wp, prec, rnd), from_man_exp(im, -wp, prec, rnd)))
+
+    def exponent(self, x) -> int:
+        """An integer n within a few units of log2|x|, with |x| < 2^n
+        (mpmath ``mag``); 0 for x = 0."""
+        return self._mp.mag(x) if x else 0
 
     @contextmanager
     def workprec(self, bits: int):

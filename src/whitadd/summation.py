@@ -189,13 +189,14 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     # compensation c take the real parts, and from the first complex term on
     # s_im and c_im take the imaginary parts (None until then); the value is
     # s + c, or complex(s + c, s_im + c_im).  Extended contexts carry enough
-    # digits to add plainly into s.
+    # digits to add plainly into s.  The magnitudes and their sum abs_sum,
+    # which only steer the stop rule and the condition number, are floats.
     window = _TailWindow()
     hardware = ctx.kind == "hardware"
     s = value = 0.0 if hardware else ctx.convert(0)
     c = 0.0
     s_im = c_im = None
-    abs_sum = ctx.convert(0)
+    abs_sum = 0.0
     max_mag = 0.0
     tail = math.inf
     passes = 0
@@ -238,9 +239,9 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
             value_mag = abs(value)
         else:
             term = ctx.convert(term)
-            mag = ctx.mag(term)
+            mag = ctx.abs(term)
             s = value = s + term
-            value_mag = ctx.mag(value)
+            value_mag = ctx.abs(value)
         abs_sum = abs_sum + mag
         if mag > max_mag:
             max_mag = mag
@@ -258,7 +259,7 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
 
 def _finish(value, n, max_mag, abs_sum, tail, ctx) -> SeriesOutcome:
     vmag = float(ctx.mag(value))
-    cond = float(abs_sum) / vmag if vmag > 0 else math.inf
+    cond = abs_sum / vmag if vmag > 0 else math.inf
     return SeriesOutcome(
         value=value,
         n_terms=n,

@@ -15,6 +15,7 @@ import pytest
 import whitadd
 from helpers import GOLDEN_DIR, rel
 from whitadd.cli import IDENTITIES, UsageError, main, parse_point, parse_scalar
+from whitadd.golden import GROUPS
 from whitadd.green import CoulombParams, SphericalPoint, hostler_green
 from whitadd.summation import SeriesOptions
 
@@ -273,12 +274,15 @@ def test_green_json(capsys):
 # --- golden ------------------------------------------------------------------------
 
 def test_golden_write_reproduces_committed_file(tmp_path, capsys):
-    rc, out, _ = run(["golden", "--write", str(tmp_path), "--only",
-                      "special_core"], capsys)
-    assert rc == 0 and "special_core.json" in out
-    got = (tmp_path / "special_core.json").read_text()
-    want = (GOLDEN_DIR / "special_core.json").read_text()
-    assert got == want
+    # every group, byte for byte: a committed file that a fresh write does
+    # not reproduce records values the code no longer computes
+    rc, out, _ = run(["golden", "--write", str(tmp_path)], capsys)
+    assert rc == 0
+    for group in GROUPS:
+        assert f"{group}.json" in out
+        got = (tmp_path / f"{group}.json").read_text()
+        want = (GOLDEN_DIR / f"{group}.json").read_text()
+        assert got == want, group
 
 
 def test_golden_check_only_one_group(tmp_path, capsys):

@@ -370,6 +370,37 @@ def test_m_gegenbauer_sum():
         verify_m_gegenbauer_sum(1.1, -0.2, 2.0, 1.0)
 
 
+def test_m_gegenbauer_sum_takes_the_cosine_at_working_precision():
+    # a cosine rounded to a double would leave the 50-digit series 2e-18 off
+    # the sum it states, e^{-z/2} 1F1(mu-k+1/2; mu+1/2; cos^2(g/2) z)
+    gamma, z = math.pi / 3, mpmath.mpc(1.5, 0.5)
+    opts = SeriesOptions(rel_tol=1e-48, precision=("extended", 50))
+    rep = verify_m_gegenbauer_sum(1.1, 0.8, complex(z), gamma, opts=opts)
+    with mpmath.workdps(70):
+        mu, half = mpmath.mpf(0.8), mpmath.mpf(1) / 2
+        ref = mpmath.exp(-z / 2) * mpmath.hyp1f1(
+            mu - mpmath.mpf(1.1) + half, mu + half, mpmath.cos(mpmath.mpf(gamma) / 2) ** 2 * z)
+        assert abs(mpmath.mpmathify(rep.lhs) - ref) < 1e-45 * abs(ref)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda opts: verify_gamma_pi(0.3, 1, 2, opts=opts),
+    lambda opts: verify_m_gegenbauer_sum(1.1, 0.8, 1.5 + 0.5j, math.pi / 3, opts=opts),
+    lambda opts: verify_whittaker_addition(complex(0.4, 0.3), geometry_from(4.0, 1.5, 1.0),
+                                           opts=opts),
+])
+def test_extended_residual_is_taken_at_working_precision(verify):
+    # a residual below 1e-16 is invisible in doubles; at 50 digits the report
+    # must give the residual of its own lhs and rhs
+    rep = verify(SeriesOptions(rel_tol=1e-30, precision=("extended", 50)))
+    with mpmath.workdps(60):
+        lhs, rhs = mpmath.mpmathify(rep.lhs), mpmath.mpmathify(rep.rhs)
+        gap = abs(lhs - rhs)
+        want = float(gap / max(abs(lhs), abs(rhs)))
+        assert rep.abs_err == pytest.approx(float(gap), rel=1e-12)
+    assert want > 0 and want / 2 <= rep.rel_err <= 2 * want
+
+
 # --- exact binomial lemma --------------------------------------------------------
 
 def test_lemma_binomial():

@@ -61,6 +61,20 @@ def _per_order(kind, k, mu0, z, ctx):
         yield fn((k, mu0 + ell), z, ctx=ctx)
 
 
+def _per_order_ratios(kind, k, mu0, z, ctx, wp):
+    """Drop-in for _fixed_ladder whose ratios are quotients of direct values."""
+    values = _per_order(kind, k, mu0, z, ctx)
+    first = next(values)
+
+    def ratios(prev):
+        for v in values:
+            with ctx.workprec(wp):
+                re, im = ctx.fixed(v / prev, wp)
+            yield re, im or 0
+            prev = v
+    return first, ratios(first)
+
+
 @pytest.mark.parametrize("kappa", KAPPAS)
 def test_ladder_extended_accuracy(kappa, references):
     ctx = extended(50)
@@ -116,10 +130,14 @@ def test_addition_near_pole_no_worse_than_per_order(n, precision, monkeypatch):
     opts = SeriesOptions(precision=precision,
                          rel_tol=1e-12 if precision == "hardware" else 1e-29)
     floor = 1e-15 if precision == "hardware" else 1e-29
+    # the terms read _mu_ladder on hardware and _fixed_ladder's ratios on an
+    # extended context; each is replaced by direct evaluations per order
+    seam, per_order = (("_mu_ladder", _per_order) if precision == "hardware"
+                       else ("_fixed_ladder", _per_order_ratios))
     for kappa in (n - 1.1e-3, n + 1.1e-3):
         ladder = _residual(verify_whittaker_addition(kappa, geo, opts=opts))
         with monkeypatch.context() as patch:
-            patch.setattr(identities, "_mu_ladder", _per_order)
+            patch.setattr(identities, seam, per_order)
             direct = _residual(verify_whittaker_addition(kappa, geo, opts=opts))
         assert ladder <= 10 * max(direct, floor), (
             f"kappa={kappa}: ladder {ladder:.2e}, per order {direct:.2e}")
@@ -243,3 +261,93 @@ def test_bessel_sums_call_bessel_modified_only_for_the_closed_side(monkeypatch):
         calls.clear()
         assert verify_gegenbauer_addition(1, 1.0, 4.0, 1.2, opts=opts).rel_err < 1e-12
         assert calls == [(1, "K")]
+
+
+TERM_KAPPAS = (-1.7, 0.3, complex(0.4, -0.9))
+TERM_RADII = ((1e-3, 0.5), (1.5, 4.0), (2.9, 3.1))
+TERM_ORDERS = 60
+
+
+@pytest.fixture(scope="module")
+def term_factors():
+    """(kappa, r0, r) -> (M_l(r0), W_l(r)) for l < TERM_ORDERS from mpmath at
+    60 digits.  M is mpmath's whitm per order.  whitw costs about 30 ms a
+    call at these orders, so W is mpmath's whitw at l = 0 and 1 carried up by
+    its forward recurrence at 120 digits (the dominant direction, where the
+    extra digits are not needed but cost nothing), and held to whitw at two
+    higher orders below."""
+    refs = {}
+    for kappa, (r0, r) in itertools.product(TERM_KAPPAS, TERM_RADII):
+        with mpmath.workdps(120):
+            k, z = mpmath.mpmathify(kappa), mpmath.mpf(r)
+            half = mpmath.mpf(1) / 2
+            w = [mpmath.whitw(k, half, z), mpmath.whitw(k, 1 + half, z)]
+            for ell in range(1, TERM_ORDERS):
+                nu = ell
+                w.append(((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * w[ell]
+                          + (nu + 1) * (nu + k) * w[ell - 1]) / (nu * (nu + 1 - k)))
+        with mpmath.workdps(60):
+            m = [mpmath.whitm(k, ell + half, r0) for ell in range(TERM_ORDERS)]
+            for ell in (TERM_ORDERS // 2, TERM_ORDERS - 1):
+                direct = mpmath.whitw(k, ell + half, z)
+                assert abs(w[ell] - direct) <= 1e-55 * abs(direct), (kappa, r, ell)
+        refs[kappa, r0, r] = (m, w)
+    return refs
+
+
+@pytest.mark.parametrize("kappa", TERM_KAPPAS)
+def test_extended_addition_terms_match_per_order_products(kappa, term_factors):
+    # Gamma(l+1-k)/((2l)! r r0) M_{k,l+1/2}(r0) W_{k,l+1/2}(r) P_l(cos g), all
+    # four factors from mpmath per order, against the integer-built terms
+    ctx = extended(50)
+    cosines = (-1.0, 0.3, 1.0)
+    with mpmath.workdps(60):
+        k = mpmath.mpmathify(kappa)
+        coeffs = [mpmath.gamma(ell + 1 - k) / mpmath.factorial(2 * ell)
+                  for ell in range(TERM_ORDERS)]
+        legendre = {c: [mpmath.legendre(ell, c) for ell in range(TERM_ORDERS)] for c in cosines}
+    for first, cos_g, (r0, r) in itertools.product((0, 1, 2), cosines, TERM_RADII):
+        geo = identities.geometry_from_cosine(r, r0, cos_g)
+        factory = identities.addition_terms(kappa, geo, normalized=False, first=first)
+        got = list(itertools.islice(factory(ctx), TERM_ORDERS - first))
+        m, w = term_factors[kappa, r0, r]
+        with mpmath.workdps(60):
+            for ell, value in enumerate(got, start=first):
+                ref = coeffs[ell] / r / r0 * m[ell] * w[ell] * legendre[cos_g][ell]
+                assert _gap(value, ref) < 1e-48, (first, cos_g, r0, r, ell)
+
+
+@pytest.mark.parametrize("kappa", (0.3, complex(0.4, -0.9)))
+def test_extended_addition_terms_hold_past_order_1000(kappa):
+    # M_l/M_{l-1} tends to r0 and W_l/W_{l-1} grows like 4 l^2/r, so a long
+    # run loses no bits to the size of its ratios; the terms at l = 1000 and
+    # 2000 carry the roundings of every step before them
+    ctx = extended(50)
+    r0, r, cos_g = 1.5, 1.6, 0.3
+    geo = identities.geometry_from_cosine(r, r0, cos_g)
+    terms = list(itertools.islice(
+        identities.addition_terms(kappa, geo, normalized=False)(ctx), 2001))
+    with mpmath.workdps(60):
+        k, half = mpmath.mpmathify(kappa), mpmath.mpf(1) / 2
+        for ell in (1000, 2000):
+            ref = (mpmath.gamma(ell + 1 - k) / mpmath.factorial(2 * ell) / r / r0
+                   * mpmath.whitm(k, ell + half, r0) * mpmath.whitw(k, ell + half, r)
+                   * mpmath.legendre(ell, cos_g))
+            assert _gap(terms[ell], ref) < 1e-48, ell
+
+
+def test_pi_terms_carry_a_complex_order_at_extended_precision():
+    # the ladders step nu = mu + l with the imaginary part of mu: every term
+    # against mpmath per order
+    kappa, mu, r0, r = 0.9, complex(2.2, 0.7), 1.0, 3.0
+    lmax = 60
+    terms = identities.pi_addition_terms(kappa, mu, r0, r, lmax, ctx=extended(50))
+    with mpmath.workdps(60):
+        k, m = mpmath.mpf(kappa), mpmath.mpmathify(mu)
+        pref = (mpmath.power(mpmath.mpf(r + r0) / (r * r0), m + mpmath.mpf(1) / 2)
+                / mpmath.whitw(k, m, r + r0))
+        for ell, value in enumerate(terms):
+            ref = (pref * mpmath.rf(m - k + mpmath.mpf(1) / 2, ell)
+                   / (mpmath.rf(ell + 2 * m, ell) * mpmath.factorial(ell))
+                   * mpmath.whitm(k, m + ell, r0) * mpmath.whitw(k, m + ell, r))
+            assert _gap(value, ref) < 1e-47, ell

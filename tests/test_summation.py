@@ -224,7 +224,7 @@ def _accumulator_sum_series(terms, options):
     ctx = context_for(options)
     acc, window = _Accumulator(ctx), summation._TailWindow()
     hardware = ctx.kind == "hardware"
-    abs_sum, max_mag, tail, passes, n = ctx.convert(0), 0.0, math.inf, 0, 0
+    abs_sum, max_mag, tail, passes, n = 0.0, 0.0, math.inf, 0, 0
     it = iter(terms)
 
     def finish():
