@@ -19,6 +19,9 @@ The identities covered, in the order they appear below:
 * the binomial downward W-sum, its pi-form generalization to general mu with
   per-term cancellation accounting, the M-Gegenbauer summation, and the
   exact rational binomial lemma underlying all of them
+
+The addition theorem, the pi form and the two M-sums are cases of one
+general-mu series, whose terms ``_gegenbauer_terms`` yields for all four.
 """
 
 from __future__ import annotations
@@ -354,7 +357,7 @@ def _m_ratio(j: int, abc, ctx):
 def _mu_ladder(kind: str, k, mu0, z, ctx):
     """Yield M_{k,mu0+l}(z) (kind "M") or W_{k,mu0+l}(z) (kind "W") for
     l = 0, 1, 2, ... from a few direct evaluations and the three-term
-    recurrences in the order stated in ``addition_terms``.
+    recurrences stated in ``_gegenbauer_terms``.
 
     W runs forward from its values at mu0 and mu0+1; the one step (if any)
     whose divisor nu+1-k lies within W_STEP_GUARD of zero is replaced by a
@@ -368,8 +371,8 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
     No M is evaluated directly from l_t on, and on hardware a run that
     leaves the double range underflows gradually, as the direct values do.
     On an extended context the values are v_{l-1} rho_l with the ratios of
-    ``_fixed_ladder``, the running product kept on integers.
-    ``k``, ``mu0`` and ``z`` are values of ``ctx``.
+    ``_fixed_ladder``, for ``_bessel_terms`` alone.  ``k``, ``mu0`` and
+    ``z`` are values of ``ctx``.
     """
     if ctx.kind == "hardware":
         return _hardware_ladder(kind, k, mu0, z, ctx)
@@ -486,10 +489,10 @@ def _renormalize(re: int, im: int, s: int, wp: int) -> tuple:
 def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
     """(v_0, ratios): the value at mu0 of the M or W ladder of ``_mu_ladder``
     and an iterator of its ratios v_l/v_{l-1}, l = 1, 2, ..., as fixed-point
-    pairs with wp fractional bits, for an extended ctx.  k, mu0 and z may
-    be complex; nu and every coefficient are then pairs too.
+    pairs with wp fractional bits, for an extended ctx (``_fixed_terms``,
+    ``_fixed_values``); k, mu0, z, nu and every coefficient may be complex.
 
-    The recurrences of ``addition_terms`` run in ratio form with every
+    The recurrences of ``_gegenbauer_terms`` run in ratio form with every
     coefficient divided by 2(2nu+1), nu = mu0+l-1/2:
     a' = nu((nu+1)^2-k^2)/(2(nu+1)(2nu+1)(2nu+3)), b' = k - 2nu(nu+1)/z and
     c' = 2nu(nu+1), so that rho_l = c'_l/(a'_l rho_{l+1} - b'_l) keeps all
@@ -622,8 +625,8 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
 
 
 def _fixed_values(kind: str, k, mu0, z, ctx):
-    """The extended body of ``_mu_ladder``: v_0, then v_{l-1} rho_l with the
-    ratios of ``_fixed_ladder`` and the running product on integers."""
+    """The extended body of ``_mu_ladder``, for the Bessel sums: v_0, then
+    v_{l-1} rho_l with the ratios of ``_fixed_ladder``, product on integers."""
     wp = _ladder_precision(ctx, z)
     v, ratios = _fixed_ladder(kind, k, mu0, z, ctx, wp)
     yield v
@@ -639,28 +642,19 @@ def _is_real(*values) -> bool:
     return all(getattr(v, "_mpc_", None) is None for v in values)
 
 
-def _coefficients(k, first: int, c):
-    """Yield c_first = c, c_{first+1}, ... by the step
-    c_{l+1}/c_l = (l+1-k)/((2l+1)(2l+2)) of Gamma(l+1-k)/(2l)!."""
-    ell = first
-    while True:
-        yield c
-        c = c * (ell + 1 - k) / ((2 * ell + 1) * (2 * ell + 2))
-        ell += 1
+def _gegenbauer_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
+    """Yield scale c_l M_{k,mu+l}(z_m) W_{k,mu+l}(z_w) C_l^{(mu)}(x) for
+    l = first, first+1, ..., without W when z_w is None, where c_l =
+    (mu-k+1/2)_l/(2mu)_{2l} over the (mu-k+1/2)_first that scale carries.
+    mu = 1/2 is the addition theorem (``addition_terms``); x = +-1 the pi
+    form, as C_l^{(mu)}(+-1) = (+-1)^l (2mu)_l/l! (DLMF 18.6.1); no W the
+    M-Gegenbauer sum, and at mu = 1/2, x = -1 the exponential M-sum.
 
-
-def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0):
-    """Term factory for the partial-wave side of the addition theorem,
-    (1/(r r0)) Gamma(l+1-kappa)/(2l)! M_{k,l+1/2}(r0) W_{k,l+1/2}(r) P_l(cos g)
-    for l = first, first+1, ...
-
-    ``normalized=True`` divides the series by Gamma(1-kappa); the gamma=0 /
-    gamma=pi displays and the Green function sum it undivided.  The
-    coefficients run
-    by their ratio (``_coefficients``) from Gamma(first+1-kappa)/(2 first)!,
-    so no Gamma quotient is ever formed, and at kappa = 1 with first = 1 they
-    are the (l-1)!/(2l)! of the integer limit.  The Legendre factor comes
-    from ``gegenbauer_ladder`` at mu = 1/2, exact (+-1)^l at cos g = +-1.
+    The coefficients run by their ratio c_{l+1}/c_l = (l+mu+1/2-k)/((2mu+2l)
+    (2mu+2l+1)) from 1/(2mu)_{2 first}, so no Gamma quotient is formed; at
+    kappa = 1 with first = 1 and mu = 1/2 they are the (l-1)!/(2l)! of the
+    integer limit.  C comes from l C_l = 2(l+mu-1) x C_{l-1} - (l+2mu-2)
+    C_{l-2} (DLMF 18.9.1), exact (+-1)^l at mu = 1/2, x = +-1.
 
     The Whittaker factors come from ``_mu_ladder``, not from one evaluation
     per order.  With nu = mu - 1/2 both functions obey three-term
@@ -681,73 +675,98 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
     §33.4, Barnett's COULFG, Comput. Phys. Commun. 27 (1982) 147, and
     Thompson & Barnett's COULCC, J. Comput. Phys. 64 (1986) 490).  A run of
     L orders costs l_t + 2 direct evaluations plus O(L) arithmetic instead
-    of 2L evaluations.  The Bessel sums of Graf and Gegenbauer run on the
-    same ladders at kappa = 0 (``_bessel_terms``).
+    of 2L evaluations.  On hardware each term is ``_term_product`` of
+    scale c_l and the three factors; on an extended context ``_fixed_terms``
+    builds it on integers.  All inputs are ctx values; x is real.
+    """
+    c = 1 / pochhammer(2 * mu, 2 * first)
+    if ctx.kind != "hardware":
+        yield from _fixed_terms(k, mu, x, scale * c, z_m, z_w, first, ctx)
+        return
+    two_mu, mu_half = 2 * mu, mu + ctx.convert(1) / 2
+    mu0 = mu + first
+    terms = zip(itertools.count(first),
+                itertools.islice(gegenbauer_ladder(mu, x), first, None),
+                _mu_ladder("M", k, mu0, z_m, ctx),
+                itertools.repeat(1) if z_w is None else _mu_ladder("W", k, mu0, z_w, ctx))
+    for ell, g_val, mv, wv in terms:
+        yield _term_product(scale * c, mv, wv, g_val, ell, ctx)
+        c = c * (ell + mu_half - k) / ((two_mu + 2 * ell) * (two_mu + 2 * ell + 1))
 
-    That is the hardware path.  On an extended context (``_fixed_terms``)
-    each term is built on Python integers at the working precision plus
-    guard bits, the technique of the fixed-point Kummer loops: a running
-    product starts from T_first = Gamma(first+1-kappa)/((2 first)! r r0)
-    M_first W_first (normalized: the Pochhammer (1-kappa)_first in place of
-    the Gamma) and each step to order l multiplies it by the coefficient
-    step (l-kappa)/((2l-1) 2l) and the ratios M_l/M_{l-1} and W_l/W_{l-1}
-    that ``_fixed_ladder`` gives from the same recurrences; the Legendre
-    recurrence runs on the same integers and is applied per term.  No
-    factor is formed alone, and one rounding to the context is made per
-    term.
+
+def _fixed_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
+    """The extended body of ``_gegenbauer_terms``: T_l C_l(x), l = first, ...,
+    on integers at the ladder precision.  T_first = scale M_first W_first,
+    and each step multiplies T by rho_l, sigma_l (1 without W) and the
+    coefficient step; C runs on pairs beside it.  No factor is formed alone,
+    and one rounding to the context is made per term."""
+    zs = (z_m,) if z_w is None else (z_m, z_w)
+    wp = _ladder_precision(ctx, *zs)
+    one = 1 << wp
+    mu0 = mu + first
+    m, rhos = _fixed_ladder("M", k, mu0, z_m, ctx, wp)
+    w, sigmas = ((1, itertools.repeat((one, 0))) if z_w is None
+                 else _fixed_ladder("W", k, mu0, z_w, ctx, wp))
+    tr, ti, s = _floating(ctx, scale * m * w, wp)
+    real = _is_real(scale, k, mu, *zs)
+    kr, ki = _pair(ctx, k, wp)
+    mr, mi = _pair(ctx, mu, wp)
+    xr = _pair(ctx, x, wp)[0]
+    # the coefficient step to order l: (l one + h) / ((2mu+2l-2)(2mu+2l-1))
+    hr, hi = mr - (one >> 1) - kr, mi - ki
+    # 2mu with e fractional bits, e = 0 when 2mu is an integer: the C
+    # multipliers and coefficient divisors are then integers, and mu = 1/2
+    # rounds as the Legendre recurrence does
+    e, m2r, m2i = wp, 2 * mr, 2 * mi
+    if not m2i and not m2r % one:
+        e, m2r = 0, m2r >> wp
+    unit = 1 << e
+    # C_{l-2}, C_{l-1}:  l C_l = 2(l+mu-1) x C_{l-1} - (l+2mu-2) C_{l-2}
+    (pr, pi), (cr, ci) = (0, 0), (one, 0)
+    for ell in itertools.count(1):
+        # 2(l+mu-1) = 2mu+2l-2, the first coefficient divisor too
+        ar, ai = m2r + (2 * ell - 2) * unit, m2i
+        if ell > first:
+            yield ctx.from_fixed(tr * cr - ti * ci, None if real else tr * ci + ti * cr,
+                                 s + wp)
+            rr, ri = next(rhos)
+            sr, si = next(sigmas)
+            tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
+            tr, ti = tr * sr - ti * si, tr * si + ti * sr
+            nr = ell * one + hr
+            br = ar + unit
+            tr, ti = _cdiv(tr * nr - ti * hi, tr * hi + ti * nr,
+                           ar * br - ai * ai >> e, ai * (ar + br) >> e, e)
+            tr, ti, s = _renormalize(tr, ti, s + 3 * wp, wp)
+        ur, ui = xr * cr >> wp, xr * ci >> wp
+        gr = ar - ell * unit
+        (pr, pi), (cr, ci) = (cr, ci), (
+            ((ar * ur - ai * ui >> e) - (gr * pr - ai * pi >> e)) // ell,
+            ((ar * ui + ai * ur >> e) - (gr * pi + ai * pr >> e)) // ell)
+
+
+def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0):
+    """Term factory for the partial-wave side of the addition theorem,
+    (1/(r r0)) Gamma(l+1-kappa)/(2l)! M_{k,l+1/2}(r0) W_{k,l+1/2}(r) P_l(cos g)
+    for l = first, first+1, ..., the mu = 1/2 case of ``_gegenbauer_terms``.
+
+    ``normalized=True`` divides the series by Gamma(1-kappa); the gamma=0 /
+    gamma=pi displays and the Green function sum it undivided.  The Bessel
+    sums of Graf and Gegenbauer run on the same ladders at kappa = 0
+    (``_bessel_terms``).
     """
     def factory(ctx):
         k = ctx.convert(kappa)
         r = ctx.convert(geo.r)
         r0 = ctx.convert(geo.r0)
-        half = ctx.convert(1) / 2
         pref = 1 / (r * r0)
         if not normalized:
             pref = pref * ctx.gamma(first + 1 - k)
         elif first:
             pref = pref * pochhammer(1 - k, first)
-        c_first = ctx.convert(1) / math.factorial(2 * first)
-        mu0 = half + first
-        if ctx.kind != "hardware":
-            yield from _fixed_terms(k, r0, r, ctx.convert(geo.cos_gamma), pref * c_first,
-                                    mu0, first, ctx)
-            return
-        legendre = itertools.islice(
-            gegenbauer_ladder(half, ctx.convert(geo.cos_gamma)), first, None)
-        terms = zip(itertools.count(first), _coefficients(k, first, c_first), legendre,
-                    _mu_ladder("M", k, mu0, r0, ctx), _mu_ladder("W", k, mu0, r, ctx))
-        for ell, coeff, p_val, mv, wv in terms:
-            yield _term_product(pref * coeff, mv, wv, p_val, ell, ctx)
+        return _gegenbauer_terms(k, ctx.convert(1) / 2, ctx.convert(geo.cos_gamma), pref,
+                                 r0, r, first, ctx)
     return factory
-
-
-def _fixed_terms(k, r0, r, x, scale, mu0, first: int, ctx):
-    """The extended body of ``addition_terms``: T_l P_l(x), l = first, ...,
-    where T_first = scale M_first W_first and each step to order l multiplies
-    the running product by the three ratios (l-k)/((2l-1) 2l) of the
-    coefficients, rho_l and sigma_l of ``_fixed_ladder``, all on integers at
-    the ladder precision; the Legendre recurrence runs on the same integers
-    and is applied per term."""
-    wp = _ladder_precision(ctx, r0, r)
-    one = 1 << wp
-    m, rhos = _fixed_ladder("M", k, mu0, r0, ctx, wp)
-    w, sigmas = _fixed_ladder("W", k, mu0, r, ctx, wp)
-    tr, ti, s = _floating(ctx, scale * m * w, wp)
-    kr, ki = _pair(ctx, k, wp)
-    real = _is_real(k)
-    xr = _pair(ctx, x, wp)[0]
-    p_prev, p = 0, one  # P_{l-2}, P_{l-1}: l P_l = (2l-1) x P_{l-1} - (l-1) P_{l-2}
-    for ell in itertools.count(1):
-        if ell > first:
-            yield ctx.from_fixed(tr * p, None if real else ti * p, s + wp)
-            rr, ri = next(rhos)
-            sr, si = next(sigmas)
-            tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
-            tr, ti = tr * sr - ti * si, tr * si + ti * sr
-            cr, q = ell * one - kr, (2 * ell - 1) * 2 * ell
-            tr, ti = (tr * cr + ti * ki) // q, (ti * cr - tr * ki) // q
-            tr, ti, s = _renormalize(tr, ti, s + 3 * wp, wp)
-        p, p_prev = ((2 * ell - 1) * (xr * p >> wp) - (ell - 1) * p_prev) // ell, p
 
 
 def _sum_in_range(terms, opts: SeriesOptions) -> SeriesOutcome:
@@ -889,16 +908,11 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
     opts = opts or SeriesOptions()
 
     def terms(ctx):
-        k = ctx.convert(kappa)
         zz = ctx.convert(z)
-        half = ctx.convert(1) / 2
-        pairs = zip(_coefficients(k, 0, ctx.convert(1) / zz),
-                    _mu_ladder("M", k, half, zz, ctx))
-        for ell, (coeff, mv) in enumerate(pairs):
-            term = coeff * mv
-            yield -term if ell % 2 else term
+        return _gegenbauer_terms(ctx.convert(kappa), ctx.convert(1) / 2, ctx.convert(-1),
+                                 1 / zz, zz, None, 0, ctx)
 
-    out = sum_series(terms, opts)
+    out = _sum_in_range(terms, opts)
     ctx = context_for(opts)
     rhs = ctx.exp(-ctx.convert(z) / 2)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
@@ -1138,26 +1152,15 @@ def coefficient_delta_sum(n: int, mu) -> Fraction:
     return total
 
 
-def _pi_terms(k, m, rr0, rr, pref, ctx):
-    """Unsigned pi-form terms pref (m-k+1/2)_l / ((l+2m)_l l!)
-    M_{k,l+m}(r0) W_{k,l+m}(r), l = 0, 1, 2, ...; arguments are ctx values."""
-    half = ctx.convert(1) / 2
-    coeff = ctx.convert(1)
-    pairs = zip(_mu_ladder("M", k, m, rr0, ctx), _mu_ladder("W", k, m, rr, ctx))
-    for ell, (mv, wv) in enumerate(pairs):
-        yield _term_product(pref * coeff, mv, wv, 1, ell, ctx)
-        coeff = (coeff * (m - k + half + ell) * (ell + 2 * m)
-                 / (2 * (ell + m) * (2 * ell + 2 * m + 1) * (ell + 1)))
-
-
 def pi_addition_terms(kappa, mu, r0, r, lmax: int, ctx=None) -> list:
     """Normalized terms t_l of the pi-form general addition series:
 
     t_l = ((r+r0)/(r r0))^{mu+1/2} (mu-k+1/2)_l M_{k,l+mu}(r0) W_{k,l+mu}(r)
           / ((l+2mu)_l l! W_{k,mu}(r+r0)),
 
-    so that sum (-1)^l t_l = 1.  Published for cancellation studies; the
-    values grow factorially large before decaying when Re mu is large.
+    so that sum (-1)^l t_l = 1: ``_gegenbauer_terms`` at x = 1.  Published
+    for cancellation studies; the values grow factorially large before
+    decaying when Re mu is large, past the double range (NoConvergence).
     """
     ctx = resolve(ctx)
     k = ctx.convert(kappa)
@@ -1167,7 +1170,11 @@ def pi_addition_terms(kappa, mu, r0, r, lmax: int, ctx=None) -> list:
     half = ctx.convert(1) / 2
     pref = (ctx.power((rr + rr0) / (rr * rr0), m + half)
             / whittaker_w((k, m), rr + rr0, ctx=ctx))
-    return list(itertools.islice(_pi_terms(k, m, rr0, rr, pref, ctx), lmax + 1))
+    terms = _gegenbauer_terms(k, m, ctx.convert(1), pref, rr0, rr, 0, ctx)
+    try:
+        return list(itertools.islice(terms, lmax + 1))
+    except OverflowError as exc:
+        raise NoConvergence("pi-form terms left the hardware range") from exc
 
 
 def verify_pi_addition_general(kappa, mu, r0, r,
@@ -1182,7 +1189,8 @@ def verify_pi_addition_general(kappa, mu, r0, r,
     magnitude); the verifier sums with cancellation accounting and escalates
     through extended precision until enough digits survive, raising
     PrecisionExhausted with the diagnostics if even the top of the ladder
-    cannot deliver the requested tolerance.
+    cannot deliver the requested tolerance (NoConvergence when the terms
+    leave the range of the top rung).
     """
     _require_ring(r0, r)
     if float(r0) == 0.0:
@@ -1196,8 +1204,7 @@ def verify_pi_addition_general(kappa, mu, r0, r,
         rr0 = ctx.convert(r0)
         rr = ctx.convert(r)
         pref = ctx.power(rr * rr0, -(m + ctx.convert(1) / 2))
-        for ell, t in enumerate(_pi_terms(ctx.convert(kappa), m, rr0, rr, pref, ctx)):
-            yield -t if ell % 2 else t
+        return _gegenbauer_terms(ctx.convert(kappa), m, ctx.convert(-1), pref, rr0, rr, 0, ctx)
 
     needed = -math.log10(opts.rel_tol) + 2
     ladder = [opts.precision] + [("extended", d) for d in ESCALATION_DIGITS
@@ -1208,10 +1215,11 @@ def verify_pi_addition_general(kappa, mu, r0, r,
         ctx = context_for(run_opts)
         try:
             out = sum_series(terms, run_opts)
-        except OverflowError:
+        except OverflowError as exc:
             # the inflated terms exceed the rung's representable range
             if precision == ladder[-1]:
-                raise
+                raise NoConvergence(f"pi-form terms left the range of {precision} and no "
+                                    f"rung of the ladder reaches rel_tol={opts.rel_tol}") from exc
             logger.info("pi-form terms overflow at %s; escalating", precision)
             continue
         surviving = ctx.digits - out.digits_lost()
@@ -1245,19 +1253,13 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
     opts = opts or SeriesOptions()
 
     def terms(ctx):
-        k = ctx.convert(kappa)
         m = ctx.convert(mu)
         zz = ctx.convert(z)
-        c = ctx.cos(ctx.convert(gamma))
-        half = ctx.convert(1) / 2
-        pref = ctx.power(zz, -(m + half))
-        coeff = ctx.convert(1)
-        pairs = zip(gegenbauer_ladder(m, c), _mu_ladder("M", k, m, zz, ctx))
-        for ell, (g_val, mv) in enumerate(pairs):
-            yield pref * coeff * mv * g_val
-            coeff = coeff / ((2 * m + 2 * ell) * (2 * m + 2 * ell + 1)) * (m - k + half + ell)
+        pref = ctx.power(zz, -(m + ctx.convert(1) / 2))
+        return _gegenbauer_terms(ctx.convert(kappa), m, ctx.cos(ctx.convert(gamma)), pref,
+                                 zz, None, 0, ctx)
 
-    out = sum_series(terms, opts)
+    out = _sum_in_range(terms, opts)
     ctx = context_for(opts)
     k = ctx.convert(kappa)
     m = ctx.convert(mu)

@@ -200,12 +200,6 @@ class HardwareContext:
         c = complex(x)
         return math.isfinite(c.real) and math.isfinite(c.imag)
 
-    @contextmanager
-    def extra_digits(self, n: int):
-        # hardware precision is fixed; the guard exists so generic code can
-        # request headroom without branching on the context kind
-        yield self
-
 
 class ExtendedContext:
     """Arbitrary-precision scalars (mpmath mpf / mpc) at fixed decimal digits."""

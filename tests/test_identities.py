@@ -212,6 +212,17 @@ def test_m_exp_sum():
         verify_m_exp_sum(2.0, 1.0)
 
 
+@pytest.mark.parametrize("verify", [
+    lambda: verify_m_exp_sum(0.3, 250.0),
+    lambda: verify_m_gegenbauer_sum(0.3, 1.5, 200.0, 1.0),
+])
+def test_m_sums_refuse_terms_outside_the_double_range(verify):
+    # near l = 140 the coefficient flushes to zero while M overflows; their
+    # product is a NaN, which the sum must refuse, not add up to max_terms
+    with pytest.raises(NoConvergence, match="range"):
+        verify()
+
+
 def test_graf_2d():
     assert verify_graf_2d(1.0, 1.0, 3.0, 2.0).rel_err < 1e-12
     assert verify_graf_2d(0.7, 0.5, 2.0, 0.0).rel_err < 1e-12
@@ -341,6 +352,15 @@ def test_pi_addition_escalates_from_hardware():
     kind, digits = rep.precision
     assert kind == "extended" and digits >= 30
     assert rep.lhs_diag.digits_lost() > 15
+
+
+def test_pi_form_outside_the_double_range_is_no_convergence():
+    # on hardware the mu = 20 terms leave the double range before l = 150; a
+    # tolerance beyond every escalation rung leaves the verifier that one run
+    with pytest.raises(NoConvergence, match="range"):
+        pi_addition_terms(1.0, 20.0, 1.0, 2.0, 150)
+    with pytest.raises(NoConvergence, match="range"):
+        verify_pi_addition_general(1.0, 20.0, 1.0, 2.0, SeriesOptions(rel_tol=1e-230))
 
 
 def test_surrogate_tracks_true_terms_within_factor_ten(stress):

@@ -264,57 +264,76 @@ def test_bessel_sums_call_bessel_modified_only_for_the_closed_side(monkeypatch):
 
 
 TERM_KAPPAS = (-1.7, 0.3, complex(0.4, -0.9))
+TERM_MUS = (0.5, 0.8, complex(2.2, 0.7))
 TERM_RADII = ((1e-3, 0.5), (1.5, 4.0), (2.9, 3.1))
+TERM_COSINES = (-1.0, 0.3, 1.0)
 TERM_ORDERS = 60
 
 
 @pytest.fixture(scope="module")
 def term_factors():
-    """(kappa, r0, r) -> (M_l(r0), W_l(r)) for l < TERM_ORDERS from mpmath at
-    60 digits.  M is mpmath's whitm per order.  whitw costs about 30 ms a
-    call at these orders, so W is mpmath's whitw at l = 0 and 1 carried up by
-    its forward recurrence at 120 digits (the dominant direction, where the
-    extra digits are not needed but cost nothing), and held to whitw at two
-    higher orders below."""
+    """(kappa, mu, r0, r) -> (M_{k,mu+l}(r0), W_{k,mu+l}(r)) for l <
+    TERM_ORDERS from mpmath at 60 digits.  M is mpmath's whitm per order.
+    whitw costs about 30 ms a call at these orders, so W is mpmath's whitw at
+    l = 0 and 1 carried up by its forward recurrence at 120 digits (the
+    dominant direction, where the extra digits are not needed but cost
+    nothing), and held to whitw at two higher orders below."""
     refs = {}
-    for kappa, (r0, r) in itertools.product(TERM_KAPPAS, TERM_RADII):
+    for kappa, mu, (r0, r) in itertools.product(TERM_KAPPAS, TERM_MUS, TERM_RADII):
         with mpmath.workdps(120):
-            k, z = mpmath.mpmathify(kappa), mpmath.mpf(r)
-            half = mpmath.mpf(1) / 2
-            w = [mpmath.whitw(k, half, z), mpmath.whitw(k, 1 + half, z)]
+            k, m, z = mpmath.mpmathify(kappa), mpmath.mpmathify(mu), mpmath.mpf(r)
+            w = [mpmath.whitw(k, m, z), mpmath.whitw(k, m + 1, z)]
             for ell in range(1, TERM_ORDERS):
-                nu = ell
+                nu = m + ell - mpmath.mpf(1) / 2
                 w.append(((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * w[ell]
                           + (nu + 1) * (nu + k) * w[ell - 1]) / (nu * (nu + 1 - k)))
         with mpmath.workdps(60):
-            m = [mpmath.whitm(k, ell + half, r0) for ell in range(TERM_ORDERS)]
+            mv = [mpmath.whitm(k, m + ell, r0) for ell in range(TERM_ORDERS)]
             for ell in (TERM_ORDERS // 2, TERM_ORDERS - 1):
-                direct = mpmath.whitw(k, ell + half, z)
-                assert abs(w[ell] - direct) <= 1e-55 * abs(direct), (kappa, r, ell)
-        refs[kappa, r0, r] = (m, w)
+                direct = mpmath.whitw(k, m + ell, z)
+                assert abs(w[ell] - direct) <= 1e-55 * abs(direct), (kappa, mu, r, ell)
+        refs[kappa, mu, r0, r] = (mv, w)
     return refs
 
 
-@pytest.mark.parametrize("kappa", TERM_KAPPAS)
-def test_extended_addition_terms_match_per_order_products(kappa, term_factors):
-    # Gamma(l+1-k)/((2l)! r r0) M_{k,l+1/2}(r0) W_{k,l+1/2}(r) P_l(cos g), all
-    # four factors from mpmath per order, against the integer-built terms
-    ctx = extended(50)
-    cosines = (-1.0, 0.3, 1.0)
+@pytest.fixture(scope="module")
+def gegenbauer_values():
+    """(mu, x) -> C_l^{(mu)}(x) for l < TERM_ORDERS from mpmath at 60 digits."""
     with mpmath.workdps(60):
-        k = mpmath.mpmathify(kappa)
-        coeffs = [mpmath.gamma(ell + 1 - k) / mpmath.factorial(2 * ell)
-                  for ell in range(TERM_ORDERS)]
-        legendre = {c: [mpmath.legendre(ell, c) for ell in range(TERM_ORDERS)] for c in cosines}
-    for first, cos_g, (r0, r) in itertools.product((0, 1, 2), cosines, TERM_RADII):
-        geo = identities.geometry_from_cosine(r, r0, cos_g)
-        factory = identities.addition_terms(kappa, geo, normalized=False, first=first)
-        got = list(itertools.islice(factory(ctx), TERM_ORDERS - first))
-        m, w = term_factors[kappa, r0, r]
+        return {(mu, x): [mpmath.gegenbauer(ell, mpmath.mpmathify(mu), x)
+                          for ell in range(TERM_ORDERS)]
+                for mu, x in itertools.product(TERM_MUS, TERM_COSINES)}
+
+
+@pytest.mark.parametrize("kappa", TERM_KAPPAS)
+def test_extended_addition_terms_match_per_order_products(kappa, term_factors,
+                                                          gegenbauer_values):
+    # (1/(r r0)) (mu+first-k+1/2)_{l-first}/(2mu)_{2l} M_{k,mu+l}(r0)
+    # W_{k,mu+l}(r) C_l^{(mu)}(x), every factor from mpmath per order, against
+    # the integer-built terms, with and without W; mu = 1/2 is the addition
+    # theorem, x = +-1 the pi form
+    ctx = extended(50)
+    with mpmath.workdps(60):
+        k, half = mpmath.mpmathify(kappa), mpmath.mpf(1) / 2
+        coeffs = {}
+        for mu, first in itertools.product(TERM_MUS, (0, 1, 2)):
+            m = mpmath.mpmathify(mu)
+            coeffs[mu, first] = [
+                mpmath.rf(m + first - k + half, ell - first) / mpmath.rf(2 * m, 2 * ell)
+                for ell in range(TERM_ORDERS)]
+    cases = itertools.product(TERM_MUS, (True, False), (0, 1, 2), TERM_COSINES, TERM_RADII)
+    for mu, with_w, first, x, (r0, r) in cases:
+        scale = 1 / (ctx.convert(r) * ctx.convert(r0))
+        terms = identities._gegenbauer_terms(
+            ctx.convert(kappa), ctx.convert(mu), ctx.convert(x), scale, ctx.convert(r0),
+            ctx.convert(r) if with_w else None, first, ctx)
+        got = list(itertools.islice(terms, TERM_ORDERS - first))
+        mv, wv = term_factors[kappa, mu, r0, r]
         with mpmath.workdps(60):
             for ell, value in enumerate(got, start=first):
-                ref = coeffs[ell] / r / r0 * m[ell] * w[ell] * legendre[cos_g][ell]
-                assert _gap(value, ref) < 1e-48, (first, cos_g, r0, r, ell)
+                ref = (coeffs[mu, first][ell] / r / r0 * mv[ell] * gegenbauer_values[mu, x][ell]
+                       * (wv[ell] if with_w else 1))
+                assert _gap(value, ref) < 1e-48, (mu, with_w, first, x, r0, r, ell)
 
 
 @pytest.mark.parametrize("kappa", (0.3, complex(0.4, -0.9)))

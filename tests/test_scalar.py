@@ -163,11 +163,6 @@ def test_hardware_rgamma_finite_at_poles():
     assert HARDWARE.rgamma(4.0) == pytest.approx(1.0 / 6.0)
 
 
-def test_hardware_extra_digits_is_a_noop():
-    with HARDWARE.extra_digits(20) as ctx:
-        assert ctx is HARDWARE
-
-
 def test_extended_requires_30_digits():
     with pytest.raises(ValueError):
         ExtendedContext(20)
