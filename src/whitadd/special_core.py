@@ -513,8 +513,8 @@ def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
     arguments stay off the poles. ``guard`` forecasts in bits how much the
     infinite sum cancels; its fixed-point body starts with that many extra.
     """
-    lnz = ctx.log(z)
     if ctx.kind == "hardware":
+        lnz = ctx.log(z)
         total = _log_series(a, n, z, lnz, ctx)
     else:
         total = _fixed_point(_log_series_fixed, (a, n, z), ctx, guard)

@@ -54,7 +54,8 @@ def _mp_hyp1f1_series(a, b, z, ctx):
 def _mp_log_series(a, n, z, ctx):
     eps, mag = ctx.eps, ctx.mag
     lnz = ctx.log(z)
-    psi_a, psi_1, psi_n1 = ctx.digamma(a), ctx.digamma(1), ctx.digamma(n + 1)
+    # mpmath's own psi: ctx.digamma is the fixed-point code under test
+    psi_a, psi_1, psi_n1 = (ctx._mp.psi(0, x) for x in (a, ctx.convert(1), ctx.convert(n + 1)))
     one = ctx.convert(1)
     coeff = one
     total = coeff * (lnz + psi_a - psi_1 - psi_n1)
@@ -195,6 +196,28 @@ def test_extended_kummer_m_keeps_50_digits(a, b, z):
 @example(a=8.0, b=8.0, z=30.0)
 def test_extended_kummer_u_keeps_50_digits(a, b, z):
     _check_50_digits(kummer_u, mpmath.hyperu, a, b, z)
+
+
+@pytest.mark.parametrize("a, n, z", [(0.37 + 0.5j, 1, 10.0), (2.6 - 3.1j, 0, 0.8),
+                                     (-7.3 + 0.4j, 3, 4.5)])
+def test_complex_log_case_never_calls_mpmath_psi(monkeypatch, a, n, z):
+    # mpmath's complex psi costs 5-10 times the fixed-point one in ExtendedContext
+    ctx, bodies = extended(50), []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached mpmath's psi")
+
+    monkeypatch.setattr(ctx._mp, "psi", refuse)
+    monkeypatch.setattr(ctx._mp, "digamma", refuse)
+    body = special_core._log_series_fixed
+    monkeypatch.setattr(special_core, "_log_series_fixed",
+                        lambda *args: bodies.append(args) or body(*args))
+    got = kummer_u(a, n + 1, z, ctx=ctx)
+    assert bodies, "U did not take the logarithmic case"
+    monkeypatch.undo()
+    with mpmath.workdps(70):
+        want = mpmath.hyperu(mpmath.mpmathify(a), n + 1, z)
+    assert _rel(got, want) <= TOL_50
 
 
 @pytest.mark.parametrize("z", [5.0, 20.0])

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from whitadd.scalar import (
@@ -253,3 +255,54 @@ def test_hardware_gamma_family_is_scipy_bit_for_bit(name):
         else:
             expected = type(x)(getattr(special, name)(x))
         assert repr(getattr(HARDWARE, name)(x)) == repr(expected), (name, x)
+
+
+def _check_psi(digits, a):
+    """ExtendedContext.digamma within 4 units of 2^-prec relative to mpmath's
+    psi at 64 more bits, plus twice the bits by which a nears a pole: mpmath's
+    own fixed-point recurrence loses those there."""
+    ctx = extended(digits)
+    a = ctx.convert(a)
+    pole = nearest_integer(a)
+    if pole <= 0 and a == pole:
+        with pytest.raises(ValueError):
+            ctx.digamma(a)
+        return
+    ref = mpmath.mp.clone()
+    near = max(0, -mpmath.mag(a - pole)) if pole <= 0 else 0
+    ref.prec = ctx.prec + 64 + 2 * near
+    want = ref.psi(0, ref.convert(a))
+    got = ctx.digamma(a)
+    assert type(got) is type(a)
+    assert abs(ref.convert(got) - want) <= 4 * ref.ldexp(abs(want), -ctx.prec), (digits, a)
+
+
+_psi_digits = st.sampled_from([50, 100])
+_psi_re = st.floats(min_value=-30, max_value=200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=_psi_digits, re=_psi_re, im=st.floats(min_value=-40, max_value=40))
+# Re a < -8, where mpmath's psi reflects
+@example(digits=50, re=-17.3, im=0.2)
+def test_extended_digamma_complex(digits, re, im):
+    _check_psi(digits, complex(re, im))
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=_psi_digits, a=_psi_re)
+@example(digits=50, a=-25.5)
+# the double nearest psi's positive zero: the sum cancels and is redone
+@example(digits=100, a=1.4616321449683622)
+def test_extended_digamma_real(digits, a):
+    _check_psi(digits, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=_psi_digits, n=st.integers(min_value=0, max_value=30),
+       d=st.floats(min_value=-1e-6, max_value=1e-6), im=st.sampled_from([None, 0.0, 1e-7, -3e-9]))
+@example(digits=50, n=3, d=1e-30, im=None)
+def test_extended_digamma_near_a_pole(digits, n, d, im):
+    ctx = extended(digits)
+    a = ctx.convert(-n) + ctx.convert(d)  # mpf sum: -n + d keeps d's bits
+    _check_psi(digits, a if im is None else ctx._mp.mpc(a, im))
