@@ -19,14 +19,13 @@ Structured output:
   significant digits, ``{"fraction": "p/q"}`` for exact rationals -- so a
   value printed by the CLI compares byte-for-byte against the library call
   formatted the same way.
-* CSV rows use the fixed column order ``index``, one column per identity
-  parameter (in the order listed by ``verify --list``), then ``lhs``,
-  ``rhs``, ``abs_err``, ``rel_err``, ``n_terms``, ``condition_number``,
-  ``digits_lost``, ``exact``, ``passed``, ``error``, ``precision``,
-  ``seconds``: the precision a row really ran at (``hardware`` or
-  ``extended(digits)``, empty for an exact or a raised row) and its wall time.
-  JSON rows carry the same two fields, the precision as ``"hardware"`` or
-  ``["extended", digits]``.
+* ``verify`` rows carry the fields of ``Row`` in its order: ``index``, the
+  parameters (a JSON object, or one CSV column each in the order listed by
+  ``verify --list``), ``lhs``, ``rhs``, ``abs_err``, ``rel_err``,
+  ``n_terms``, ``condition_number``, ``digits_lost``, ``exact``, ``passed``,
+  ``error``, ``precision``, ``seconds``: the precision a row really ran at
+  (``hardware``, or ``extended(digits)`` in CSV and ``["extended", digits]``
+  in JSON; empty or null for an exact or a raised row) and its wall time.
 * Human-readable tables round to 10 significant digits and print ``-``
   for diagnostics a closed-form route does not have.
 
@@ -50,17 +49,17 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import WhitaddError
 from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
-from .green import (CoulombParams, SphericalPoint, density_polynomial,
-                    diagonal_density, gauss_laguerre_integral, hostler_green,
-                    partial_wave_green, projection_kernel, radial_distribution,
-                    radial_norm)
+from .green import (CoulombParams, SeriesEvaluation, SphericalPoint,
+                    density_polynomial, diagonal_density,
+                    gauss_laguerre_integral, hostler_green, partial_wave_green,
+                    projection_kernel, radial_distribution, radial_norm)
 from .identities import (coefficient_delta_sum, geometry_from,
                          geometry_from_cosine, near_positive_integer,
                          pi_addition_terms, verify_gamma_pi, verify_gamma_zero,
@@ -213,6 +212,8 @@ def _csv_cell(v) -> str:
         return fmt_value(v, 17)
     if isinstance(v, float):
         return format(v, ".17g")
+    if isinstance(v, tuple):
+        return f"{v[0]}({v[1]})"  # ("extended", digits) precision
     return str(v)
 
 
@@ -247,9 +248,10 @@ def context_from(digits: int | None):
     return None if digits is None else extended(digits)
 
 
-def options_from(args, digits: int | None) -> SeriesOptions:
-    """Series options from the flags, at digits already resolved."""
-    return SeriesOptions(rel_tol=args.rel_tol or 1e-12,
+def options_from(args, digits: int | None, rel_tol: float | None = None) -> SeriesOptions:
+    """Series options from the flags, at digits already resolved and the
+    series tolerance ``rel_tol`` (None for the default)."""
+    return SeriesOptions(rel_tol=rel_tol or 1e-12,
                          max_terms=args.max_terms or DEFAULT_MAX_TERMS,
                          precision="hardware" if digits is None else ("extended", digits))
 
@@ -258,104 +260,47 @@ def options_from(args, digits: int | None) -> SeriesOptions:
 # eval subcommand
 # ---------------------------------------------------------------------------
 
-def _need(a: dict, names: tuple, fn: str) -> None:
-    missing = [n for n in names if a.get(n) is None]
-    if missing:
-        raise UsageError(f"{fn} requires --" + " --".join(missing))
-
-
-def _series_diag(series):
-    return {"n_terms": series.n_terms,
-            "condition_number": series.condition_number,
-            "tail_estimate": series.tail_estimate}
-
-
-def _eval_whittaker(fn):
-    def run(a, ctx, opts):
-        _need(a, ("kappa", "mu", "r"), fn.__name__)
-        return fn((a["kappa"], a["mu"]), a["r"], deriv=a["deriv"], ctx=ctx), None
-    return run
-
-
-def _eval_kummer(fn):
-    def run(a, ctx, opts):
-        _need(a, ("a", "b", "z"), fn.__name__)
-        return fn(a["a"], a["b"], a["z"], ctx=ctx), None
-    return run
-
-
-def _eval_bessel(kind):
-    def run(a, ctx, opts):
-        _need(a, ("nu", "z"), f"bessel_{kind.lower()}")
-        return bessel_modified(a["nu"], a["z"], kind, ctx=ctx), None
-    return run
-
-
-def _eval_legendre(a, ctx, opts):
-    _need(a, ("l", "x"), "legendre")
-    return legendre_p(a["l"], a["m"] or 0, a["x"]), None
-
-
-def _eval_gegenbauer(a, ctx, opts):
-    _need(a, ("l", "mu", "x"), "gegenbauer")
-    return gegenbauer_c(a["l"], a["mu"], a["x"]), None
-
-
-def _eval_laguerre(a, ctx, opts):
-    _need(a, ("n", "x"), "laguerre")
-    return laguerre(a["n"], a["alpha"] if a["alpha"] is not None else 0, a["x"]), None
-
-
-def _eval_spherical(a, ctx, opts):
-    _need(a, ("l", "m", "theta", "phi"), "spherical_harmonic")
-    return spherical_harmonic(a["l"], a["m"], float(a["theta"]), float(a["phi"])), None
-
-
-def _eval_hostler(a, ctx, opts):
-    _need(a, ("g", "k", "p", "p0"), "hostler")
-    params = CoulombParams(float(a["g"]), float(a["k"]))
-    return hostler_green(params, a["p"], a["p0"], ctx=ctx), None
-
-
-def _eval_partial_wave(a, ctx, opts):
-    _need(a, ("g", "k", "p", "p0"), "partial_wave")
-    params = CoulombParams(float(a["g"]), float(a["k"]))
-    out = partial_wave_green(params, a["p"], a["p0"], opts=opts)
-    return out.value, _series_diag(out.series)
-
-
-def _eval_projection(a, ctx, opts):
-    _need(a, ("n", "g", "p", "p0"), "projection")
-    return projection_kernel(a["n"], float(a["g"]), a["p"], a["p0"],
-                             method=a["method"] or "residue"), None
-
-
-def _eval_density(a, ctx, opts):
-    _need(a, ("n", "g", "r"), "density")
-    return diagonal_density(a["n"], float(a["g"]), float(a["r"])), None
-
-
-def _eval_radial_density(a, ctx, opts):
-    _need(a, ("n", "g", "r"), "radial_density")
-    return radial_distribution(a["n"], float(a["g"]), float(a["r"])), None
-
-
+# function -> (flags it requires, flags it also takes, call(a, ctx, opts)),
+# where ``a`` maps each of _EVAL_PARAM_FLAGS to its parsed value; a call
+# returns the value, or partial_wave's SeriesEvaluation with its diagnostics
 EVAL_FUNCTIONS = {
-    "whittaker_m": _eval_whittaker(whittaker_m),
-    "whittaker_w": _eval_whittaker(whittaker_w),
-    "kummer_m": _eval_kummer(kummer_m),
-    "kummer_u": _eval_kummer(kummer_u),
-    "legendre": _eval_legendre,
-    "gegenbauer": _eval_gegenbauer,
-    "laguerre": _eval_laguerre,
-    "spherical_harmonic": _eval_spherical,
-    "bessel_i": _eval_bessel("I"),
-    "bessel_k": _eval_bessel("K"),
-    "hostler": _eval_hostler,
-    "partial_wave": _eval_partial_wave,
-    "projection": _eval_projection,
-    "density": _eval_density,
-    "radial_density": _eval_radial_density,
+    "whittaker_m": (("kappa", "mu", "r"), ("deriv",),
+                    lambda a, ctx, opts: whittaker_m((a["kappa"], a["mu"]), a["r"],
+                                                     deriv=a["deriv"], ctx=ctx)),
+    "whittaker_w": (("kappa", "mu", "r"), ("deriv",),
+                    lambda a, ctx, opts: whittaker_w((a["kappa"], a["mu"]), a["r"],
+                                                     deriv=a["deriv"], ctx=ctx)),
+    "kummer_m": (("a", "b", "z"), (),
+                 lambda a, ctx, opts: kummer_m(a["a"], a["b"], a["z"], ctx=ctx)),
+    "kummer_u": (("a", "b", "z"), (),
+                 lambda a, ctx, opts: kummer_u(a["a"], a["b"], a["z"], ctx=ctx)),
+    "legendre": (("l", "x"), ("m",),
+                 lambda a, ctx, opts: legendre_p(a["l"], a["m"] or 0, a["x"])),
+    "gegenbauer": (("l", "mu", "x"), (),
+                   lambda a, ctx, opts: gegenbauer_c(a["l"], a["mu"], a["x"])),
+    "laguerre": (("n", "x"), ("alpha",),
+                 lambda a, ctx, opts: laguerre(a["n"], a["alpha"] if a["alpha"] is not None else 0,
+                                               a["x"])),
+    "spherical_harmonic": (("l", "m", "theta", "phi"), (),
+                           lambda a, ctx, opts: spherical_harmonic(a["l"], a["m"], float(a["theta"]),
+                                                                   float(a["phi"]))),
+    "bessel_i": (("nu", "z"), (),
+                 lambda a, ctx, opts: bessel_modified(a["nu"], a["z"], "I", ctx=ctx)),
+    "bessel_k": (("nu", "z"), (),
+                 lambda a, ctx, opts: bessel_modified(a["nu"], a["z"], "K", ctx=ctx)),
+    "hostler": (("g", "k", "p", "p0"), (),
+                lambda a, ctx, opts: hostler_green(CoulombParams(float(a["g"]), float(a["k"])),
+                                                   a["p"], a["p0"], ctx=ctx)),
+    "partial_wave": (("g", "k", "p", "p0"), (),
+                     lambda a, ctx, opts: partial_wave_green(
+                         CoulombParams(float(a["g"]), float(a["k"])), a["p"], a["p0"], opts=opts)),
+    "projection": (("n", "g", "p", "p0"), ("method",),
+                   lambda a, ctx, opts: projection_kernel(a["n"], float(a["g"]), a["p"], a["p0"],
+                                                          method=a["method"] or "residue")),
+    "density": (("n", "g", "r"), (),
+                lambda a, ctx, opts: diagonal_density(a["n"], float(a["g"]), float(a["r"]))),
+    "radial_density": (("n", "g", "r"), (),
+                       lambda a, ctx, opts: radial_distribution(a["n"], float(a["g"]), float(a["r"]))),
 }
 
 # flags echoed back into the params block of eval output, in display order
@@ -363,16 +308,26 @@ _EVAL_PARAM_FLAGS = ("kappa", "mu", "r", "a", "b", "z", "l", "m", "n", "alpha",
                      "nu", "x", "theta", "phi", "g", "k", "p", "p0", "method",
                      "deriv")
 
+# the series diagnostics eval reports, each None for a closed-form function
+_SERIES_DIAGNOSTICS = ("n_terms", "condition_number", "tail_estimate")
+
 
 def cmd_eval(args) -> int:
-    fn = EVAL_FUNCTIONS[args.function]
+    required, optional, call = EVAL_FUNCTIONS[args.function]
     digits = resolve_digits(args.digits)
-    ctx = context_from(digits)
-    opts = options_from(args, digits)
     a = {name: getattr(args, name) for name in _EVAL_PARAM_FLAGS}
-    value, diag = fn(a, ctx, opts)
-
     used = {k: v for k, v in a.items() if v is not None and v is not False}
+    missing = [k for k in required if k not in used]
+    if missing:
+        raise UsageError(f"{args.function} requires --" + " --".join(missing))
+    unknown = [k for k in used if k not in required + optional]
+    if unknown:
+        raise UsageError(f"{args.function} does not take --" + " --".join(unknown))
+    value = call(a, context_from(digits), options_from(args, digits, args.rel_tol))
+    series = None
+    if isinstance(value, SeriesEvaluation):
+        value, series = value.value, value.series
+
     if args.json:
         payload = {"schema": SCHEMA_VERSION, "command": "eval",
                    "function": args.function,
@@ -381,17 +336,15 @@ def cmd_eval(args) -> int:
                                   else encode_param(v)) for k, v in used.items()},
                    "digits": digits,
                    "value": encode_value(value)}
-        payload.update(diag or {"n_terms": None, "condition_number": None,
-                                "tail_estimate": None})
+        payload.update((k, getattr(series, k, None)) for k in _SERIES_DIAGNOSTICS)
         _dump_json(payload, args.json)
     else:
         shown = " ".join(f"{k}={fmt_value(v) if not isinstance(v, SphericalPoint) else f'({v.r},{v.theta},{v.phi})'}"
                          for k, v in used.items())
         print(f"{args.function}({shown}) = {fmt_value(value)}")
-        if diag:
-            print(f"  n_terms = {diag['n_terms']}")
-            print(f"  condition_number = {fmt_value(diag['condition_number'])}")
-            print(f"  tail_estimate = {fmt_value(diag['tail_estimate'])}")
+        if series is not None:
+            for k in _SERIES_DIAGNOSTICS:
+                print(f"  {k} = {fmt_value(getattr(series, k))}")
     return 0
 
 
@@ -539,7 +492,8 @@ def _run_delta_sum(pt) -> ExactReport:
 
 @dataclass
 class Row:
-    """One grid point of a verification sweep."""
+    """One grid point of a verification sweep; the field order is the column
+    order of ``verify --json`` rows and ``verify --csv``."""
 
     index: int
     params: dict
@@ -553,8 +507,8 @@ class Row:
     exact: bool | None = None
     passed: bool = False
     error: str | None = None
-    seconds: float = 0.0
     precision: object = None
+    seconds: float = 0.0
 
 
 def _row_from(index: int, pt: dict, rep, threshold) -> Row:
@@ -609,16 +563,11 @@ def _print_rows(name: str, entry: IdentityEntry, rows: list, threshold) -> None:
     print(f"{name}: {good}/{len(rows)} passed ({bound})")
 
 
-def _precision_json(precision):
-    """"hardware", or ("extended", digits) as a JSON list."""
-    return list(precision) if isinstance(precision, tuple) else precision
-
-
-def _precision_text(precision) -> str:
-    """"hardware", "extended(digits)", or "" for None."""
-    if isinstance(precision, tuple):
-        return f"{precision[0]}({precision[1]})"
-    return "" if precision is None else str(precision)
+def _json_cell(name: str, value):
+    if name == "params":
+        return {k: encode_param(v) for k, v in value.items()}
+    # json writes an ("extended", digits) precision tuple as a list
+    return encode_value(value) if name in ("lhs", "rhs") else value
 
 
 def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
@@ -629,46 +578,25 @@ def _rows_json(name: str, entry: IdentityEntry, rows: list, threshold,
         "identity": name,
         "threshold": threshold,
         "opts": {"rel_tol": opts.rel_tol, "max_terms": opts.max_terms,
-                 "precision": _precision_json(opts.precision)},
-        "rows": [{
-            "index": r.index,
-            "params": {k: encode_param(v) for k, v in r.params.items()},
-            "lhs": encode_value(r.lhs),
-            "rhs": encode_value(r.rhs),
-            "abs_err": r.abs_err,
-            "rel_err": r.rel_err,
-            "n_terms": r.n_terms,
-            "condition_number": r.condition_number,
-            "digits_lost": r.digits_lost,
-            "exact": r.exact,
-            "passed": r.passed,
-            "error": r.error,
-            "precision": _precision_json(r.precision),
-            "seconds": r.seconds,
-        } for r in rows],
+                 "precision": opts.precision},
+        "rows": [{f.name: _json_cell(f.name, getattr(r, f.name)) for f in fields(Row)}
+                 for r in rows],
         "passed": sum(r.passed for r in rows),
         "failed": sum(not r.passed for r in rows),
     }
 
 
 def _rows_csv(entry: IdentityEntry, rows: list, path: str) -> None:
-    header = ["index", *entry.params, "lhs", "rhs", "abs_err", "rel_err",
-              "n_terms", "condition_number", "digits_lost", "exact",
-              "passed", "error", "precision", "seconds"]
+    """One column per Row field, with params spread into one column per
+    identity parameter."""
+    names = [f.name for f in fields(Row)]
     fh = sys.stdout if path == "-" else open(path, "w", newline="")
     try:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([c for n in names for c in (entry.params if n == "params" else (n,))])
         for r in rows:
-            writer.writerow([r.index,
-                             *(_csv_cell(r.params[k]) for k in entry.params),
-                             _csv_cell(r.lhs), _csv_cell(r.rhs),
-                             _csv_cell(r.abs_err), _csv_cell(r.rel_err),
-                             _csv_cell(r.n_terms),
-                             _csv_cell(r.condition_number),
-                             _csv_cell(r.digits_lost), _csv_cell(r.exact),
-                             _csv_cell(r.passed), _csv_cell(r.error),
-                             _precision_text(r.precision), _csv_cell(r.seconds)])
+            writer.writerow([_csv_cell(c) for n in names
+                             for c in (r.params.values() if n == "params" else (getattr(r, n),))])
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -709,7 +637,7 @@ def cmd_verify(args) -> int:
                          "run `whitadd verify --list`")
     entry = IDENTITIES[args.identity]
     grid = _parse_grid_flags(entry, args.grid)
-    opts = options_from(args, resolve_digits(args.digits))
+    opts = options_from(args, resolve_digits(args.digits), args.rel_tol)
     threshold = args.threshold if args.threshold is not None else entry.threshold
     rows = run_sweep(entry, grid, opts, threshold)
 
@@ -965,6 +893,7 @@ def cmd_green(args) -> int:
     p, p0 = args.p, args.p0
     digits = resolve_digits(args.digits)
     ctx = context_from(digits)
+    # --rel-tol only gates the residual; the series sums at the default tolerance
     opts = options_from(args, digits)
 
     hv = hostler_green(params, p, p0, ctx=ctx)
@@ -1016,7 +945,8 @@ def cmd_golden(args) -> int:
             return 1
         print(f"golden files in {args.check} reproduce")
         return 0
-    paths = write_golden(args.write, digits=args.digits, only=only)
+    digits = resolve_digits(GOLDEN_DIGITS if args.digits is None else args.digits)
+    paths = write_golden(args.write, digits=digits, only=only)
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -1038,8 +968,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log series escalations and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --digits is shared by every subcommand; --max-terms and --json by all
+    # but golden.  --rel-tol means something different to each.
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=None,
+                        help="work at this many decimal digits (>= 30)")
+    shared = argparse.ArgumentParser(add_help=False, parents=[digits])
+    shared.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+    shared.add_argument("--json", nargs="?", const="-", default=None,
+                        metavar="PATH", help="write JSON (default stdout)")
 
-    pe = sub.add_parser("eval", help="evaluate one function at one point")
+    pe = sub.add_parser("eval", parents=[shared],
+                        help="evaluate one function at one point")
     pe.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
     for flag in ("--kappa", "--mu", "--r", "--a", "--b", "--z", "--alpha",
                  "--nu", "--x", "--theta", "--phi", "--g", "--k"):
@@ -1054,15 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--method", choices=("residue", "eigen_sum"), default=None)
     pe.add_argument("--deriv", action="store_true",
                     help="first derivative (Whittaker functions)")
-    pe.add_argument("--digits", type=int, default=None,
-                    help="work at this many decimal digits (>= 30)")
     pe.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    pe.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    pe.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH", help="write JSON (default stdout)")
     pe.set_defaults(func=cmd_eval)
 
-    pv = sub.add_parser("verify", help="sweep an identity over a grid")
+    pv = sub.add_parser("verify", parents=[shared],
+                        help="sweep an identity over a grid")
     pv.add_argument("identity", nargs="?", default=None)
     pv.add_argument("--grid", action="append", metavar="NAME=V1,V2,...",
                     help="override one parameter's grid values")
@@ -1070,21 +1006,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pass/fail bound on the relative residual")
     pv.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                     help="series truncation tolerance")
-    pv.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    pv.add_argument("--digits", type=int, default=None)
     pv.add_argument("--preset", choices=("acceptance", "remark53"),
                     default=None)
     pv.add_argument("--golden-dir", default=None, dest="golden_dir",
                     help="golden directory for the acceptance preset")
     pv.add_argument("--list", action="store_true",
                     help="list identities and default thresholds")
-    pv.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH")
     pv.add_argument("--csv", nargs="?", const="-", default=None,
                     metavar="PATH")
     pv.set_defaults(func=cmd_verify)
 
-    pg = sub.add_parser("green", help="cross-check the Coulomb resolvent")
+    pg = sub.add_parser("green", parents=[shared],
+                        help="cross-check the Coulomb resolvent")
     pg.add_argument("--g", type=parse_scalar, required=True, help="coupling")
     pg.add_argument("--k", type=parse_scalar, required=True,
                     help="spectral parameter")
@@ -1092,20 +1025,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="field point r,theta,phi")
     pg.add_argument("--p0", type=parse_point, required=True,
                     help="source point r,theta,phi")
-    pg.add_argument("--digits", type=int, default=None)
     pg.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                     help="fail (exit 1) if the residual exceeds this")
-    pg.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    pg.add_argument("--json", nargs="?", const="-", default=None,
-                    metavar="PATH")
     pg.set_defaults(func=cmd_green)
 
-    pgold = sub.add_parser("golden", help="regenerate frozen reference files")
+    pgold = sub.add_parser("golden", parents=[digits],
+                           help="regenerate frozen reference files")
     pgold.add_argument("--write", default=os.path.join("tests", "golden"),
                        metavar="DIR", help="directory to write into")
     pgold.add_argument("--check", default=None, metavar="DIR",
                        help="compare freshly computed values against DIR")
-    pgold.add_argument("--digits", type=int, default=GOLDEN_DIGITS)
     pgold.add_argument("--only", default=None,
                        help="comma-separated subset of groups "
                             f"{', '.join(GROUPS)}")

@@ -199,12 +199,7 @@ def partial_wave_green(params: CoulombParams, p: SphericalPoint,
     scaled = geometry_from_cosine(two_k * max(p.r, p0.r), two_k * min(p.r, p0.r),
                                   geo.cos_gamma)
     factory = addition_terms(kappa, scaled, normalized=False)
-    try:
-        out = sum_series(factory, opts)
-    except OverflowError as exc:
-        raise NoConvergence(
-            "partial-wave terms left the hardware range before the tail met "
-            "tolerance; loosen rel_tol or separate the radii") from exc
+    out = sum_series(factory, opts)
     ctx = context_for(opts)
     return SeriesEvaluation(value=ctx.convert(params.k) / (2 * ctx.pi) * out.value,
                             series=out)

@@ -294,8 +294,8 @@ def _term_product(base, mv, wv, p_val, ell, ctx):
     then flush to an exact zero (or overflow, making 0*inf NaNs) and
     silently truncate the series.  On hardware, honest, negligible underflow
     is told apart from range exhaustion by the factor log-magnitudes;
-    exhaustion surfaces as OverflowError so callers escalate precision or
-    report NoConvergence instead of returning a truncated sum.
+    exhaustion surfaces as OverflowError, which ``sum_series`` turns into
+    NoConvergence, instead of returning a truncated sum.
     """
     if ctx.kind != "hardware":
         return base * mv * wv * p_val
@@ -769,17 +769,6 @@ def addition_terms(kappa, geo: GeometryConfig, normalized: bool, first: int = 0)
     return factory
 
 
-def _sum_in_range(terms, opts: SeriesOptions) -> SeriesOutcome:
-    """``sum_series`` of ``_term_product`` terms; a hardware term that leaves
-    the double range ends in NoConvergence, never in a truncated sum."""
-    try:
-        return sum_series(terms, opts)
-    except OverflowError as exc:
-        raise NoConvergence(
-            "series terms left the hardware range before the tail met "
-            "tolerance; raise the precision or loosen rel_tol") from exc
-
-
 def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
                     opts: SeriesOptions | None, closed) -> IdentityReport:
     """The partial-wave series of ``addition_terms`` against ``closed(ctx)``,
@@ -797,10 +786,9 @@ def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
         lhs = whittaker_w((kappa, 0.5), r, ctx=ctx) / r
         if not normalized:
             lhs = lhs * ctx.gamma(1 - ctx.convert(kappa))
-        out = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
-                            condition_number=1.0, tail_estimate=0.0)
+        out = sum_series([lhs], opts)
     else:
-        out = _sum_in_range(addition_terms(kappa, geo, normalized), opts)
+        out = sum_series(addition_terms(kappa, geo, normalized), opts)
     return _report(out.value, closed(ctx), opts.precision, lhs_diag=out)
 
 
@@ -912,7 +900,7 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
         return _gegenbauer_terms(ctx.convert(kappa), ctx.convert(1) / 2, ctx.convert(-1),
                                  1 / zz, zz, None, 0, ctx)
 
-    out = _sum_in_range(terms, opts)
+    out = sum_series(terms, opts)
     ctx = context_for(opts)
     rhs = ctx.exp(-ctx.convert(z) / 2)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
@@ -955,11 +943,9 @@ def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> Identity
     if float(r0) == 0.0:
         # I_n(0) = 0 for n >= 1 and I_0(0) = 1: only the n=0 term survives
         lhs = bessel_modified(0, kk * u, "K", ctx=ctx)
-        diag = SeriesOutcome(value=lhs, n_terms=1, max_term_mag=float(ctx.mag(lhs)),
-                             condition_number=1.0, tail_estimate=0.0)
-        return _report(lhs, rhs, opts.precision, lhs_diag=diag)
+        return _report(lhs, rhs, opts.precision, lhs_diag=sum_series([lhs], opts))
     weights = (ctx.cos(n * angle) * (2 if n else 1) for n in itertools.count())
-    out = _sum_in_range(_bessel_terms(ctx.convert(0), kk * v, kk * u, weights, ctx), opts)
+    out = sum_series(_bessel_terms(ctx.convert(0), kk * v, kk * u, weights, ctx), opts)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
 
 
@@ -979,7 +965,7 @@ def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = No
     c = ctx.convert(math.cos(float(gamma)))
     pref = ctx.power(2, nn) * ctx.gamma(nn) / ctx.power(u * v, nn)
     weights = (pref * (nn + n) * g_val for n, g_val in enumerate(gegenbauer_ladder(nn, c)))
-    out = _sum_in_range(_bessel_terms(nn, v, u, weights, ctx), opts)
+    out = sum_series(_bessel_terms(nn, v, u, weights, ctx), opts)
     R = ctx.sqrt(u * u + v * v - 2 * u * v * c)
     rhs = bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, nn)
     return _report(out.value, rhs, opts.precision, lhs_diag=out)
@@ -1215,8 +1201,10 @@ def verify_pi_addition_general(kappa, mu, r0, r,
         ctx = context_for(run_opts)
         try:
             out = sum_series(terms, run_opts)
-        except OverflowError as exc:
+        except NoConvergence as exc:
             # the inflated terms exceed the rung's representable range
+            if not isinstance(exc.__cause__, OverflowError):
+                raise
             if precision == ladder[-1]:
                 raise NoConvergence(f"pi-form terms left the range of {precision} and no "
                                     f"rung of the ladder reaches rel_tol={opts.rel_tol}") from exc
@@ -1259,7 +1247,7 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
         return _gegenbauer_terms(ctx.convert(kappa), m, ctx.cos(ctx.convert(gamma)), pref,
                                  zz, None, 0, ctx)
 
-    out = _sum_in_range(terms, opts)
+    out = sum_series(terms, opts)
     ctx = context_for(opts)
     k = ctx.convert(kappa)
     m = ctx.convert(mu)

@@ -177,12 +177,13 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     Raises
     ------
     NoConvergence
-        If max_terms is exhausted before the tail estimate meets rel_tol.
-        The partial outcome rides on the exception's ``outcome`` attribute.
+        If max_terms is exhausted before the tail estimate meets rel_tol, or
+        if the terms leave the context's range (an OverflowError, kept as the
+        exception's ``__cause__``).  The partial outcome rides on the
+        exception's ``outcome`` attribute.
     """
     options = options or SeriesOptions()
     ctx = context_for(options)
-    stream = terms(ctx) if callable(terms) else terms
     rel_tol, max_terms = options.rel_tol, options.max_terms
 
     # On hardware the sum is Neumaier-compensated: the partial sum s and its
@@ -201,58 +202,65 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     tail = math.inf
     passes = 0
     n = 0
-    it = iter(stream)
 
-    while True:
-        if n >= max_terms:
-            outcome = _finish(value, n, max_mag, abs_sum, tail, ctx)
-            logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
-            raise NoConvergence(
-                f"series did not meet rel_tol={rel_tol} in {n} terms",
-                outcome=outcome)
-        try:
-            term = next(it)
-        except StopIteration:
-            # the stream is finite and complete: its true tail is zero
-            tail = 0.0
-            break
-        if hardware:
-            # hardware terms are float or complex once converted, and abs()
-            # of one is exactly its ctx.mag
-            if type(term) is not float and type(term) is not complex:
-                term = ctx.convert(term)
-            mag = abs(term)
-            if s_im is None and type(term) is float:
-                t_re = term
-            else:
-                if s_im is None:
-                    s_im = c_im = 0.0
-                t = complex(term)
-                t_re, t_im = t.real, t.imag
-                new = s_im + t_im
-                c_im += (s_im - new) + t_im if abs(s_im) >= abs(t_im) else (t_im - new) + s_im
-                s_im = new
-            new = s + t_re
-            c += (s - new) + t_re if abs(s) >= abs(t_re) else (t_re - new) + s
-            s = new
-            value = s + c if s_im is None else complex(s + c, s_im + c_im)
-            value_mag = abs(value)
-        else:
-            term = ctx.convert(term)
-            mag = ctx.abs(term)
-            s = value = s + term
-            value_mag = ctx.abs(value)
-        abs_sum = abs_sum + mag
-        if mag > max_mag:
-            max_mag = mag
-        n += 1
-        tail = window.push(mag)
-        if tail <= rel_tol * (1e-300 if value_mag < 1e-300 else value_mag):
-            passes += 1
-            if passes >= CONSECUTIVE_PASSES:
+    try:
+        it = iter(terms(ctx) if callable(terms) else terms)
+        while True:
+            if n >= max_terms:
+                outcome = _finish(value, n, max_mag, abs_sum, tail, ctx)
+                logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
+                raise NoConvergence(
+                    f"series did not meet rel_tol={rel_tol} in {n} terms",
+                    outcome=outcome)
+            try:
+                term = next(it)
+            except StopIteration:
+                # the stream is finite and complete: its true tail is zero
+                tail = 0.0
                 break
-        else:
-            passes = 0
+            if hardware:
+                # hardware terms are float or complex once converted, and abs()
+                # of one is exactly its ctx.mag
+                if type(term) is not float and type(term) is not complex:
+                    term = ctx.convert(term)
+                mag = abs(term)
+                if s_im is None and type(term) is float:
+                    t_re = term
+                else:
+                    if s_im is None:
+                        s_im = c_im = 0.0
+                    t = complex(term)
+                    t_re, t_im = t.real, t.imag
+                    new = s_im + t_im
+                    c_im += (s_im - new) + t_im if abs(s_im) >= abs(t_im) else (t_im - new) + s_im
+                    s_im = new
+                new = s + t_re
+                c += (s - new) + t_re if abs(s) >= abs(t_re) else (t_re - new) + s
+                s = new
+                value = s + c if s_im is None else complex(s + c, s_im + c_im)
+                value_mag = abs(value)
+            else:
+                term = ctx.convert(term)
+                mag = ctx.abs(term)
+                s = value = s + term
+                value_mag = ctx.abs(value)
+            abs_sum = abs_sum + mag
+            if mag > max_mag:
+                max_mag = mag
+            n += 1
+            tail = window.push(mag)
+            if tail <= rel_tol * (1e-300 if value_mag < 1e-300 else value_mag):
+                passes += 1
+                if passes >= CONSECUTIVE_PASSES:
+                    break
+            else:
+                passes = 0
+    except OverflowError as exc:
+        # a term past the context's range: refuse rather than truncate
+        raise NoConvergence(
+            f"series terms left the {ctx.kind} range before the tail met "
+            "tolerance; raise the precision or loosen rel_tol",
+            outcome=_finish(value, n, max_mag, abs_sum, tail, ctx)) from exc
 
     return _finish(value, n, max_mag, abs_sum, tail, ctx)
 

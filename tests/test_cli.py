@@ -14,9 +14,13 @@ import pytest
 
 import whitadd
 from helpers import GOLDEN_DIR, rel
-from whitadd.cli import IDENTITIES, UsageError, main, parse_point, parse_scalar
+from whitadd.cli import (EVAL_FUNCTIONS, IDENTITIES, UsageError, encode_value, main,
+                         parse_point, parse_scalar)
 from whitadd.golden import GROUPS
-from whitadd.green import CoulombParams, SphericalPoint, hostler_green
+from whitadd.green import (CoulombParams, SphericalPoint, diagonal_density, hostler_green,
+                           partial_wave_green, projection_kernel, radial_distribution)
+from whitadd.special_core import (bessel_modified, gegenbauer_c, kummer_m, kummer_u, laguerre,
+                                  legendre_p, spherical_harmonic, whittaker_m, whittaker_w)
 from whitadd.summation import SeriesOptions
 
 pytestmark = pytest.mark.usefixtures("no_env_digits")
@@ -95,6 +99,47 @@ def test_eval_partial_wave_reports_diagnostics(capsys):
     assert payload["n_terms"] > 3
     assert payload["condition_number"] >= 1.0
     assert payload["tail_estimate"] >= 0.0
+
+
+_P, _P0 = SphericalPoint(2.0, 1.1, 0.7), SphericalPoint(1.0, 2.0, 4.0)
+_POINTS = "--g 1 --k 0.7 --p 2,1.1,0.7 --p0 1,2,4"
+
+# eval function -> (its flags, the library call they stand for)
+EVAL_CASES = {
+    "whittaker_m": ("--kappa 0.3 --mu 0.5 --r 2", lambda: whittaker_m((0.3, 0.5), 2)),
+    "whittaker_w": ("--kappa 0.3 --mu 1.5 --r 3 --deriv",
+                    lambda: whittaker_w((0.3, 1.5), 3, deriv=True)),
+    "kummer_m": ("--a 0.5 --b 1.5 --z 2", lambda: kummer_m(0.5, 1.5, 2)),
+    "kummer_u": ("--a 0.5 --b 1.5 --z 2", lambda: kummer_u(0.5, 1.5, 2)),
+    "legendre": ("--l 3 --m 1 --x 0.5", lambda: legendre_p(3, 1, 0.5)),
+    "gegenbauer": ("--l 3 --mu 0.7 --x 0.4", lambda: gegenbauer_c(3, 0.7, 0.4)),
+    "laguerre": ("--n 4 --alpha 1/2 --x 6/5",
+                 lambda: laguerre(4, Fraction(1, 2), Fraction(6, 5))),
+    "spherical_harmonic": ("--l 2 --m 1 --theta 0.4 --phi 1.1",
+                           lambda: spherical_harmonic(2, 1, 0.4, 1.1)),
+    "bessel_i": ("--nu 1 --z 2", lambda: bessel_modified(1, 2, "I")),
+    "bessel_k": ("--nu 1 --z 2", lambda: bessel_modified(1, 2, "K")),
+    "hostler": (_POINTS, lambda: hostler_green(CoulombParams(1.0, 0.7), _P, _P0)),
+    "partial_wave": (_POINTS, lambda: partial_wave_green(CoulombParams(1.0, 0.7), _P, _P0).value),
+    "projection": ("--n 2 --g 1 --p 2,1.1,0.7 --p0 1,2,4 --method eigen_sum",
+                   lambda: projection_kernel(2, 1.0, _P, _P0, method="eigen_sum")),
+    "density": ("--n 2 --g 1 --r 1.5", lambda: diagonal_density(2, 1.0, 1.5)),
+    "radial_density": ("--n 2 --g 1 --r 1.5", lambda: radial_distribution(2, 1.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("function", sorted(EVAL_FUNCTIONS))
+def test_eval_every_function_matches_the_library(function, capsys):
+    flags, call = EVAL_CASES[function]
+    rc, out, _ = run(["eval", function, *flags.split(), "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["value"] == encode_value(call())
+
+
+def test_eval_refuses_flags_the_function_does_not_take(capsys):
+    rc, out, err = run(["eval", "legendre", "--l", "2", "--x", "0.5", "--kappa", "3"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: legendre does not take --kappa\n"
 
 
 def test_eval_missing_argument(capsys):
@@ -204,6 +249,11 @@ def test_verify_csv_header(capsys):
         cell = dict(zip(rows[0], r))
         assert cell["exact"] == "" and cell["passed"] == "true" and cell["error"] == ""
         assert cell["precision"] == "hardware" and float(cell["seconds"]) > 0
+    # JSON rows carry the same columns in the same order, params as one object
+    rc, out, _ = run(["verify", "gamma_zero", "--grid", "kappa=-0.7",
+                      "--grid", "r0=1", "--grid", "r=2", "--json", "-"], capsys)
+    row, = json.loads(out)["rows"]
+    assert list(row) == ["index", "params", *rows[0][4:]]
 
 
 def test_verify_failure_exit_code(capsys):
@@ -251,6 +301,14 @@ def test_green_rel_tol_gate(capsys):
     assert rc == 0
     rc, _, _ = run(base + ["--rel-tol", "1e-20"], capsys)
     assert rc == 1
+
+
+def test_green_rel_tol_only_gates_the_residual(capsys):
+    base = ["green", "--g", "1", "--k", "0.7", "--p", "2,1.1,0.7", "--p0", "1,2,4",
+            "--json"]
+    lmax = [json.loads(run(base + extra, capsys)[1])["lmax"]
+            for extra in ([], ["--rel-tol", "1e-3"])]
+    assert lmax[0] == lmax[1]
 
 
 def test_green_coincident_points(capsys):
@@ -301,6 +359,13 @@ def test_golden_check_only_one_group(tmp_path, capsys):
     (tmp_path / "special_core.json").write_text(json.dumps(payload))
     rc, _, err = run(argv, capsys)
     assert rc == 1 and "drifted" in err
+
+
+def test_golden_digits_below_extended_floor(tmp_path, capsys):
+    rc, out, err = run(["golden", "--write", str(tmp_path), "--digits", "10"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: extended precision needs --digits >= 30\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_golden_unknown_group(capsys):

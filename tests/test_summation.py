@@ -60,6 +60,20 @@ def test_no_convergence_carries_partial_outcome():
     assert out.tail_estimate == math.inf
 
 
+def test_overflowing_stream_ends_in_no_convergence():
+    # a term past the double range refuses with the partial sum, as max_terms does
+    def terms():
+        yield from (1.0, 0.5, 0.25)
+        raise OverflowError("term past the double range")
+
+    with pytest.raises(NoConvergence) as exc:
+        sum_series(terms())
+    assert isinstance(exc.value.__cause__, OverflowError)
+    out = exc.value.outcome
+    assert out.n_terms == 3
+    assert out.value == 1.75
+
+
 def test_compensated_accumulation():
     # naive float addition returns 0.0 here
     out = sum_series(iter([1e100, 1.0, -1e100]))
