@@ -161,6 +161,8 @@ def parse_point(text: str) -> SphericalPoint:
 def fmt_value(v, digits: int = 10) -> str:
     if v is None:
         return "-"
+    if isinstance(v, str):
+        return v
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, bool):

@@ -3,15 +3,14 @@
 All function evaluators in this package are written once, generically, against
 the small interface below. Two implementations are provided:
 
-* ``HardwareContext`` -- native float/complex with scipy.special supplying the
-  gamma family. This is the default for every public entry point.
-  ``scipy.special`` is imported by the first hardware ``gamma``,
-  ``loggamma``, ``rgamma`` or ``digamma`` call, not by ``import whitadd``,
-  so a process that stays at extended precision never loads scipy (or the
-  numpy under it). Once
-  converted, every hardware value is exactly a ``float`` or a ``complex``, so
-  ``convert`` and ``mag`` serve those two exact types first and return at
-  once (``mag`` is then plain ``abs``); every other type -- ``int``,
+* ``HardwareContext`` -- native float/complex with ``gammafn`` supplying the
+  gamma family: on real arguments the Cephes routines, bit for bit as
+  scipy.special runs them, and on complex ones Stirling's series after a
+  shift or a reflection. This is the default for every public entry point,
+  and neither it nor the extended path loads scipy or numpy. Once converted, every
+  hardware value is exactly a ``float`` or a ``complex``, so ``convert`` and
+  ``mag`` serve those two exact types first and return at once (``mag`` is
+  then plain ``abs``); every other type -- ``int``,
   ``bool``, ``Fraction``, mpmath ``mpf``/``mpc``, numpy scalars and the
   subclasses of ``float`` and ``complex`` -- takes the general path, which
   returns a builtin ``float`` or ``complex`` (a numpy ``complex128`` stays
@@ -66,6 +65,8 @@ from mpmath.libmp import (
     to_float,
 )
 
+from . import gammafn
+
 _INTEGER_MATCH_TOL = 1e-12
 
 # ExtendedContext.digamma: bits summed beyond the working precision, and the
@@ -109,25 +110,6 @@ def is_nonpositive_integer(x) -> bool:
 
 def nearest_integer(x) -> int:
     return int(round(float(getattr(x, "real", x))))
-
-
-class _SpecialLoader:
-    """Stands in for ``scipy.special`` until its first use.
-
-    The first attribute looked up imports the module and binds the global
-    ``_sp`` to it, so every later gamma-family call reaches scipy through a
-    plain global lookup, as a module-level import would.
-    """
-
-    def __getattr__(self, name):
-        global _sp
-        from scipy import special
-
-        _sp = special
-        return getattr(special, name)
-
-
-_sp = _SpecialLoader()
 
 
 class HardwareContext:
@@ -196,28 +178,36 @@ class HardwareContext:
     def cos(self, x):
         return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
 
+    # the gamma family: an exact float goes straight to gammafn's real routes
     def gamma(self, x):
-        if isinstance(x, complex):
-            return complex(_sp.gamma(x))
-        return float(_sp.gamma(x))
+        if type(x) is not float:
+            if isinstance(x, complex):
+                return gammafn.cgamma(complex(x))
+            x = float(x)
+        return gammafn.gamma(x)
 
     def loggamma(self, x):
-        if isinstance(x, complex):
-            return complex(_sp.loggamma(x))
-        if x > 0:
-            return float(_sp.loggamma(x))
-        return complex(_sp.loggamma(complex(x)))
+        """log Gamma(x) on the principal branch: complex for x <= 0."""
+        if type(x) is not float:
+            if isinstance(x, complex):
+                return gammafn.cloggamma(complex(x))
+            x = float(x)
+        return gammafn.lgam(x) if x > 0 else gammafn.cloggamma(complex(x))
 
     def rgamma(self, x):
         """1/Gamma(x), finite at the poles of Gamma."""
-        if isinstance(x, complex):
-            return complex(_sp.rgamma(x))
-        return float(_sp.rgamma(x))
+        if type(x) is not float:
+            if isinstance(x, complex):
+                return gammafn.crgamma(complex(x))
+            x = float(x)
+        return gammafn.rgamma(x)
 
     def digamma(self, x):
-        if isinstance(x, complex):
-            return complex(_sp.digamma(x))
-        return float(_sp.digamma(x))
+        if type(x) is not float:
+            if isinstance(x, complex):
+                return gammafn.cpsi(complex(x))
+            x = float(x)
+        return gammafn.psi(x)
 
     def isfinite(self, x) -> bool:
         if type(x) is float:

@@ -14,8 +14,8 @@ import pytest
 
 import whitadd
 from helpers import GOLDEN_DIR, rel
-from whitadd.cli import (EVAL_FUNCTIONS, IDENTITIES, UsageError, encode_value, main,
-                         parse_point, parse_scalar)
+from whitadd.cli import (EVAL_FUNCTIONS, IDENTITIES, UsageError, encode_value, fmt_value,
+                         main, parse_point, parse_scalar)
 from whitadd.golden import GROUPS
 from whitadd.green import (CoulombParams, SphericalPoint, diagonal_density, hostler_green,
                            partial_wave_green, projection_kernel, radial_distribution)
@@ -136,6 +136,15 @@ def test_eval_every_function_matches_the_library(function, capsys):
     assert json.loads(out)["value"] == encode_value(call())
 
 
+@pytest.mark.parametrize("function", sorted(EVAL_FUNCTIONS))
+def test_eval_every_function_prints_its_value(function, capsys):
+    # the human output echoes every flag, projection's --method string included
+    flags, call = EVAL_CASES[function]
+    rc, out, err = run(["eval", function, *flags.split()], capsys)
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0].endswith(f" = {fmt_value(call())}")
+
+
 def test_eval_refuses_flags_the_function_does_not_take(capsys):
     rc, out, err = run(["eval", "legendre", "--l", "2", "--x", "0.5", "--kappa", "3"], capsys)
     assert rc == 2 and out == ""
@@ -198,6 +207,17 @@ def test_every_verifier_reports_its_precision():
         rep = entry.run(pt, SeriesOptions())
         assert rep.precision == "hardware" or (
             rep.precision[0] == "extended" and rep.precision[1] >= 30), name
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_verify_prints_every_identity_at_its_default_grid(name, capsys):
+    # one human row per grid point, string parameters (laguerre_symmetric's
+    # variant) printed as they are
+    entry = IDENTITIES[name]
+    points = math.prod(len(entry.grid[param]) for param in entry.params)
+    rc, out, err = run(["verify", name], capsys)
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1].startswith(f"{name}: {points}/{points} passed")
 
 
 def test_verify_unknown_identity(capsys):

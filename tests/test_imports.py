@@ -1,12 +1,13 @@
 """Imports inside ``whitadd`` go one way and never reach a private name.
 
-The modules form a stack: errors, scalar, special_core, summation,
+The modules form a stack: errors, gammafn, scalar, special_core, summation,
 identities, green, golden, cli.  Each may import only modules below it, at
 module level or inside a function, and no module imports an underscore name
 from another.  ``__init__`` is the package's front and imports them all.
 
-scipy and numpy are imported only inside the functions that use them, so a
-process on the extended-precision path loads neither.
+numpy is imported only inside the Gauss-Laguerre quadrature of ``green``, and
+scipy nowhere, so neither the hardware evaluators nor the extended-precision
+path load them.
 """
 
 import ast
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "whitadd"
-ORDER = ("errors", "scalar", "special_core", "summation", "identities", "green",
+ORDER = ("errors", "gammafn", "scalar", "special_core", "summation", "identities", "green",
          "golden", "cli")
 
 
@@ -61,9 +62,8 @@ def test_imports_point_down_the_stack():
     assert upward == []
 
 
-# the functions that load scipy or numpy on first use; nothing else imports them
-LOADERS = {("scalar", "_SpecialLoader.__getattr__"), ("green", "_laggauss"),
-           ("green", "gauss_laguerre_integral")}
+# the functions that load numpy on first use; nothing else imports it or scipy
+LOADERS = {("green", "_laggauss"), ("green", "gauss_laguerre_integral")}
 
 
 def _heavy_imports(node, module: str, scope: str | None = None):
@@ -98,21 +98,34 @@ reports = [whitadd.verify_whittaker_addition(0.3, whitadd.geometry_from(8.0, 0.5
            whitadd.verify_w_downward_sum(2, complex(0.3, 0.2), 1.0, 2.0, ext50)]
 print(all(rep.ok(1e-40) for rep in reports))
 print(sorted(name for name in ("scipy", "numpy") if name in sys.modules))
-# U(a, a+1, z) = z^-a makes no gamma call; W_{0.3,0.5} does
-whitadd.kummer_u(0.5, 1.5, 2.0)
-whitadd.whittaker_w((0.3, 0.5), 2.0)
-print(whitadd.scalar._sp is sys.modules.get("scipy.special"))
+"""
+
+# every hardware gamma-family route: U's log case (b an integer) and its
+# reflection (b not), W, and both Green functions
+HARDWARE_PROBE = """
+import sys
+import whitadd
+params = whitadd.CoulombParams(1.0, 1.0)
+p, p0 = whitadd.SphericalPoint(2.0, 1.0, 0.5), whitadd.SphericalPoint(1.0, 2.0, 1.5)
+values = [whitadd.kummer_m(0.5, 1.5, 2.0), whitadd.kummer_u(0.3, 2.0, 1.5),
+          whitadd.kummer_u(0.3, 1.7, 1.5), whitadd.whittaker_w((0.3, 0.5), 2.0),
+          whitadd.hostler_green(params, p, p0), whitadd.partial_wave_green(params, p, p0).value]
+print(all(v == v for v in values))
+print(sorted(name for name in ("scipy", "numpy") if name in sys.modules))
 """
 
 
-def test_extended_precision_path_loads_neither_scipy_nor_numpy():
+def _fresh(probe: str) -> list[str]:
     # a fresh interpreter: this one has scipy loaded already
-    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120, check=True,
                           env={"PYTHONPATH": str(PACKAGE.parent)})
-    passed, loaded, bound = proc.stdout.split("\n")[:3]
-    assert passed == "True"
-    assert loaded == "[]"
-    # the first hardware gamma call imports scipy.special and binds the
-    # module itself, so later calls do not pass through the loader
-    assert bound == "True"
+    return proc.stdout.split("\n")[:2]
+
+
+def test_extended_precision_path_loads_neither_scipy_nor_numpy():
+    assert _fresh(LAZY_PROBE) == ["True", "[]"]
+
+
+def test_hardware_path_loads_neither_scipy_nor_numpy():
+    assert _fresh(HARDWARE_PROBE) == ["True", "[]"]

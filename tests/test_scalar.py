@@ -1,6 +1,7 @@
 """Precision contexts: conversion, branch choices, escalation."""
 
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -239,22 +240,103 @@ def test_resolve():
     assert resolve(ctx) is ctx
 
 
-# reals and complexes, the poles 0, -1, -2, negative reals (where loggamma
-# is complex) and gamma's overflow above 171.6
+GAMMA_FAMILY = ("gamma", "loggamma", "rgamma", "digamma")
+# the poles 0, -1, -2, negative reals (where loggamma is complex), gamma's
+# overflow above 171.6 and underflow below -171, a subnormal, the infinities
 GAMMA_FAMILY_ARGS = (2.3, 0.5, 1e-300, 7.25, 171.5, 171.7, 250.0, 0.0, -0.0, -1.0,
-                     -2.0, -0.5, -2.5, -171.5, complex(0.5, 1.0), complex(-2.5, 0.3),
-                     complex(30.0, -40.0), complex(-1.0, 0.0), complex(171.7, 0.0))
+                     -2.0, -0.5, -2.5, -171.5, -180.5, 1e-320, math.inf, -math.inf,
+                     math.nan)
 
 
-@pytest.mark.parametrize("name", ["gamma", "loggamma", "rgamma", "digamma"])
-def test_hardware_gamma_family_is_scipy_bit_for_bit(name):
+def _check_scipy_bits(name, x):
     # repr equality: == on every bit, NaN matching NaN and -0.0 told from 0.0
+    if name == "loggamma" and not x > 0:
+        return  # complex: test_hardware_gamma_family_complex_against_mpmath
+    assert repr(getattr(HARDWARE, name)(x)) == repr(float(getattr(special, name)(x))), (name, x)
+
+
+@pytest.mark.parametrize("name", GAMMA_FAMILY)
+def test_hardware_gamma_family_is_scipy_bit_for_bit(name):
     for x in GAMMA_FAMILY_ARGS:
-        if name == "loggamma" and not isinstance(x, complex) and x <= 0:
-            expected = complex(special.loggamma(complex(x)))
+        _check_scipy_bits(name, x)
+
+
+_near_integers = st.builds(lambda n, d: n + d, st.integers(min_value=-40, max_value=40),
+                           st.floats(min_value=-1e-6, max_value=1e-6))
+# psi's Taylor window about its negative root, |x + 0.504...| < 0.3, and its edges
+_psi_root_window = st.floats(min_value=-0.81, max_value=-0.2)
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=st.one_of(st.floats(min_value=-180, max_value=180), _near_integers, _psi_root_window))
+@example(x=-0.5040830082644554)
+@example(x=3.9999999999999996)
+@example(x=-33.5)
+def test_hardware_gamma_family_real_draws_are_scipy_bit_for_bit(x):
+    for name in GAMMA_FAMILY:
+        _check_scipy_bits(name, x)
+
+
+# largest error seen over 9000 points of Re in [-30, 40], |Im| <= 40 (near
+# the real axis, the integers and the origin included), in units of 2^-52:
+# 46 for log Gamma, Gamma and 1/Gamma, relative to max(1, |log Gamma|) (an
+# error in log Gamma is a relative error of Gamma), and 4 for psi relative to
+# max(1, |psi|)
+GAMMA_FAMILY_COMPLEX_ULPS = {"gamma": 128, "loggamma": 128, "rgamma": 128, "digamma": 16}
+
+
+def _check_against_mpmath(name, z, got):
+    """``got``, the hardware value at z, against mpmath's at 30 digits."""
+    if z.imag == 0 and z.real <= 0 and z.real == math.floor(z.real):
+        assert repr(got) == ("0j" if name == "rgamma" else "(nan+nanj)"), (name, z)
+        return
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z)
+        if name == "digamma":
+            want = mpmath.psi(0, w)
+            scale = max(1, abs(want))
         else:
-            expected = type(x)(getattr(special, name)(x))
-        assert repr(getattr(HARDWARE, name)(x)) == repr(expected), (name, x)
+            # the principal branch; mpmath drops the sign of a zero
+            # imaginary part, which picks the side of the cut
+            below = math.copysign(1.0, z.imag) < 0
+            lg = mpmath.loggamma(w.conjugate() if below else w)
+            lg = lg.conjugate() if below else lg
+            want = {"gamma": mpmath.exp(lg), "rgamma": mpmath.exp(-lg), "loggamma": lg}[name]
+            scale = max(1, abs(lg)) * (abs(want) if name != "loggamma" else 1)
+        if abs(want) > sys.float_info.max:
+            assert math.isinf(got.real), (name, z)
+            return
+        err = abs(mpmath.mpc(got) - want) / scale
+    assert type(got) is complex
+    assert err <= GAMMA_FAMILY_COMPLEX_ULPS[name] * 2.0 ** -52, (name, z, float(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(GAMMA_FAMILY), re=st.floats(min_value=-30, max_value=40),
+       im=st.floats(min_value=-40, max_value=40))
+@example(name="gamma", re=0.5, im=1.0)
+@example(name="loggamma", re=-2.5, im=0.3)
+@example(name="loggamma", re=-2.5, im=-0.0)
+@example(name="rgamma", re=30.0, im=-40.0)
+@example(name="digamma", re=-1.0, im=0.0)
+@example(name="gamma", re=171.7, im=0.0)
+# far out on the left, where shifting up to Stirling's region would take
+# a million steps
+@example(name="loggamma", re=-1e6 - 0.5, im=0.0)
+@example(name="digamma", re=-1e8, im=5.0)
+def test_hardware_gamma_family_complex_against_mpmath(name, re, im):
+    z = complex(re, im)
+    _check_against_mpmath(name, z, getattr(HARDWARE, name)(z))
+    if name == "loggamma" and im == 0 and re <= 0:
+        # a real x <= 0 has a complex log Gamma, on the side Im z = +0
+        _check_against_mpmath(name, complex(re, 0.0), HARDWARE.loggamma(re))
+
+
+@pytest.mark.parametrize("name", GAMMA_FAMILY)
+def test_hardware_gamma_family_complex_not_finite_is_nan(name):
+    for z in (complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.nan, 0.0),
+              complex(0.0, math.inf)):
+        assert repr(getattr(HARDWARE, name)(z)) == "(nan+nanj)", (name, z)
 
 
 def _check_psi(digits, a):
