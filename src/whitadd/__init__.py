@@ -10,7 +10,6 @@ Coulomb Green function with its bound-state projections.
 from .errors import (
     CoincidentPoints,
     CoincidentRadii,
-    ConfluentPoint,
     DerivativeStepUnderflow,
     GeometryViolation,
     IndexOutOfRange,
@@ -28,10 +27,12 @@ from .scalar import HARDWARE, ExtendedContext, HardwareContext, extended, resolv
 from .special_core import (
     bessel_modified,
     binomial,
+    density_polynomial,
     gegenbauer_c,
     kummer_m,
     kummer_u,
     laguerre,
+    laguerre_bracket,
     legendre_p,
     log_pochhammer,
     pochhammer,
@@ -76,7 +77,6 @@ from .green import (
     SphericalPoint,
     bound_energy,
     degeneracy,
-    density_polynomial,
     diagonal_density,
     gauss_laguerre_integral,
     hostler_green,

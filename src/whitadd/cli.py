@@ -56,8 +56,7 @@ from types import MappingProxyType
 
 from .errors import WhitaddError
 from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
-from .green import (CoulombParams, SeriesEvaluation, SphericalPoint,
-                    density_polynomial, diagonal_density,
+from .green import (CoulombParams, SeriesEvaluation, SphericalPoint, diagonal_density,
                     gauss_laguerre_integral, hostler_green, partial_wave_green,
                     projection_kernel, radial_distribution, radial_norm)
 from .identities import (coefficient_delta_sum, geometry_from,
@@ -71,10 +70,10 @@ from .identities import (coefficient_delta_sum, geometry_from,
                          verify_w_downward_sum, verify_whittaker_addition,
                          ExactReport)
 from .scalar import extended
-from .special_core import (bessel_modified, gegenbauer_c, kummer_m, kummer_u,
-                           laguerre, legendre_p, spherical_harmonic,
+from .special_core import (bessel_modified, density_polynomial, gegenbauer_c, kummer_m,
+                           kummer_u, laguerre, legendre_p, spherical_harmonic,
                            whittaker_m, whittaker_w)
-from .summation import (DEFAULT_MAX_TERMS, SeriesOptions,
+from .summation import (DEFAULT_MAX_TERMS, SeriesOptions, context_for,
                         mu_large_term_surrogate)
 
 logger = logging.getLogger(__name__)
@@ -146,16 +145,20 @@ def parse_scalar(text: str):
         raise UsageError(f"cannot parse numeric value {text!r}") from None
 
 
+def parse_real(text: str):
+    """Parse one real numeric token: ``parse_scalar`` without the complex form."""
+    v = parse_scalar(text)
+    if isinstance(v, complex):
+        raise UsageError(f"expected a real value, got {text!r}")
+    return v
+
+
 def parse_point(text: str) -> SphericalPoint:
     """Parse ``r,theta,phi`` into a SphericalPoint."""
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"point {text!r} must be r,theta,phi")
-    vals = [parse_scalar(p) for p in parts]
-    for v in vals:
-        if isinstance(v, complex):
-            raise UsageError(f"point coordinates must be real, got {text!r}")
-    return SphericalPoint(*(float(v) for v in vals))
+    return SphericalPoint(*(float(parse_real(p)) for p in parts))
 
 
 def fmt_value(v, digits: int = 10) -> str:
@@ -663,7 +666,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _stress_summary(rel_tol: float = 1e-8):
+def _stress_summary():
     """Large-order stress case: normalized head terms, final sum, precision.
 
     Cached, and read-only since every caller shares it: the four stress rows
@@ -675,7 +678,7 @@ def _stress_summary(rel_tol: float = 1e-8):
                               STRESS_ELL, ctx=ctx)
     t0 = float(abs(terms[0]))
     t145 = float(abs(terms[STRESS_ELL]))
-    opts = SeriesOptions(rel_tol=rel_tol, precision=("extended", STRESS_DIGITS))
+    opts = SeriesOptions(rel_tol=1e-8, precision=("extended", STRESS_DIGITS))
     rep = verify_pi_addition_general(STRESS_KAPPA, STRESS_MU, STRESS_R0,
                                      STRESS_R, opts=opts)
     total = complex(rep.lhs / rep.rhs).real
@@ -894,14 +897,13 @@ def cmd_green(args) -> int:
     params = CoulombParams(float(args.g), float(args.k))
     p, p0 = args.p, args.p0
     digits = resolve_digits(args.digits)
-    ctx = context_from(digits)
     # --rel-tol only gates the residual; the series sums at the default tolerance
     opts = options_from(args, digits)
+    ctx = context_for(opts)
 
     hv = hostler_green(params, p, p0, ctx=ctx)
     pw = partial_wave_green(params, p, p0, opts=opts)
-    residual = abs(complex(pw.value) - complex(hv)) / max(abs(complex(hv)),
-                                                          1e-300)
+    residual = ctx.mag(pw.value - hv) / max(ctx.mag(hv), 1e-300)
     if args.json:
         payload = {"schema": SCHEMA_VERSION, "command": "green",
                    "params": {"g": params.g, "k": params.k,
@@ -984,8 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate one function at one point")
     pe.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
     for flag in ("--kappa", "--mu", "--r", "--a", "--b", "--z", "--alpha",
-                 "--nu", "--x", "--theta", "--phi", "--g", "--k"):
+                 "--nu", "--x", "--theta", "--phi"):
         _scalar_arg(pe, flag, f"{flag[2:]} parameter")
+    for flag in ("--g", "--k"):
+        pe.add_argument(flag, type=parse_real, default=None, help=f"{flag[2:]} parameter")
     pe.add_argument("--l", type=int, default=None, help="degree l")
     pe.add_argument("--m", type=int, default=None, help="order m")
     pe.add_argument("--n", type=int, default=None, help="index n")
@@ -1020,9 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("green", parents=[shared],
                         help="cross-check the Coulomb resolvent")
-    pg.add_argument("--g", type=parse_scalar, required=True, help="coupling")
-    pg.add_argument("--k", type=parse_scalar, required=True,
-                    help="spectral parameter")
+    pg.add_argument("--g", type=parse_real, required=True, help="coupling")
+    pg.add_argument("--k", type=parse_real, required=True, help="spectral parameter")
     pg.add_argument("--p", type=parse_point, required=True,
                     help="field point r,theta,phi")
     pg.add_argument("--p0", type=parse_point, required=True,
@@ -1045,10 +1048,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
+        # inside the try: a type function's UsageError is a usage error too
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            logging.basicConfig(level=logging.INFO, format="%(message)s")
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return status

@@ -56,10 +56,6 @@ class ParameterPole(WhitaddError):
     """Parameter sits exactly on a pole of a coefficient (e.g. 2*mu a negative integer)."""
 
 
-class ConfluentPoint(WhitaddError):
-    """Two-variable identity requested at u = v where the stated form is 0/0."""
-
-
 class CoincidentPoints(WhitaddError):
     """Green's-function kernel requested at coincident spatial points."""
 

@@ -33,8 +33,9 @@ max(1, |psi|):
 * ``cloggamma``: the principal branch, by shifting z up to |w| >= 10 and
   Re w >= 1/2 while subtracting sum Log(z+k) [DLMF 5.5.1], then 8 terms of
   Stirling's series [DLMF 5.11.1], and by the reflection formula for
-  Re z < 0; on the negative real axis its imaginary part is -ceil(-x) pi
-  (+ceil(-x) pi for an imaginary part of -0.0);
+  Re z < 0 (-Log z - gamma z below the normal range); on the negative real
+  axis its imaginary part is -ceil(-x) pi (+ceil(-x) pi for an imaginary
+  part of -0.0);
 * ``cgamma`` and ``crgamma``: exp(+-cloggamma);
 * ``cpsi``: the reflection formula with cot taken after removing the nearest
   integer, the recurrence and 8 Stirling terms, the parts added by
@@ -63,6 +64,7 @@ _LOG2PI = 1.8378770664093453  # log 2 pi
 _MAXLGM = 2.556348e305  # log Gamma(x) overflows beyond
 _MACHEP = 1.1102230246251565e-16  # 2^-53
 _DBL_EPSILON = 2.220446049250313e-16
+_DBL_MIN = 2.2250738585072014e-308  # the least normal double
 # psi's negative root nearest 0, and psi there
 _NEGROOT = -0.5040830082644554
 _NEGROOTVAL = 7.2897639029768949e-17
@@ -351,6 +353,11 @@ def cloggamma(z: complex) -> complex:
         # the lower half plane, -0.0 included, by symmetry: adding 1.0 to
         # z would turn an imaginary part of -0.0 into +0.0
         return cloggamma(z.conjugate()).conjugate()
+    if z.real < 0.0 and abs(z) < _DBL_MIN:
+        # log Gamma(z) = -Log z - gamma z + O(z^2) [DLMF 5.7.3 with
+        # Gamma(z) = Gamma(1+z)/z]: below the normal range the reflection's
+        # 2 pi (z - round z) rounds to a few bits
+        return -cmath.log(z) - _EULER * z
     if z.real < 0.0:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z) = 2 pi i e^{i pi z} / (e^{2 pi i z} - 1)
         # [DLMF 5.5.3]: on Im z >= 0 the principal Log(1 - e^{2 pi i z}) is

@@ -50,7 +50,6 @@ import mpmath
 from .green import CoulombParams, SphericalPoint, angle_cosine, hostler_green, separation
 from .identities import (
     geometry_from,
-    geometry_from_cosine,
     verify_gamma_pi,
     verify_gamma_zero,
     verify_gegenbauer_addition,
@@ -210,15 +209,12 @@ def _mp_gegenbauer_bessel():
 
 
 def _mp_hostler(params: CoulombParams, p: SphericalPoint, p0: SphericalPoint):
-    # mirror the package's parameter flow: geometry and kappa are fixed
-    # in double precision before any extended-precision arithmetic runs
-    geo = geometry_from_cosine(p.r, p0.r, angle_cosine(p, p0))
-    kap = params.kappa
-    k = mpmath.mpf(params.k)
-    return (mpmath.gamma(mpmath.mpf(1 - kap))
-            / (4 * mpmath.pi * mpmath.mpf(geo.R))
-            * _mp_bracket(mpmath.mpf(kap), k * mpmath.mpf(geo.x),
-                          k * mpmath.mpf(geo.y)))
+    # Gamma(1-kappa) 2k/(4 pi) times the chord bracket at the 2k-scaled radii;
+    # only the package's inputs are doubles: kappa = g/(2k), k, the radii and
+    # cos gamma, everything from them is mpmath
+    kap, k = mpmath.mpf(params.kappa), mpmath.mpf(params.k)
+    return (mpmath.gamma(1 - kap) * 2 * k / (4 * mpmath.pi)
+            * _mp_chord_bracket(kap, 2 * k * p.r, 2 * k * p0.r, angle_cosine(p, p0)))
 
 
 # ---------------------------------------------------------------------------

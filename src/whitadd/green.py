@@ -22,7 +22,7 @@ from .errors import (CoincidentPoints, CoincidentRadii, GeometryViolation,
 from .identities import (KAPPA_GUARD, addition_terms, geometry_from_cosine,
                          hostler_bracket, require_off_pole)
 from .scalar import resolve
-from .special_core import laguerre, spherical_harmonic
+from .special_core import density_polynomial, laguerre, laguerre_bracket, spherical_harmonic
 from .summation import SeriesOptions, SeriesOutcome, context_for, sum_series
 
 logger = logging.getLogger(__name__)
@@ -153,18 +153,21 @@ def hostler_green(params: CoulombParams, p: SphericalPoint, p0: SphericalPoint,
     point exchange by construction.  Diverges at the bound energies where
     kappa hits a positive integer; ``kappa_guard`` sets how close is too
     close (residue studies deliberately pass a smaller guard).
+
+    The inputs are doubles: r, r0, cos gamma, k and kappa = g/(2k) are fixed
+    in double precision, and R, x and y are derived from them at the
+    working precision of ``ctx`` (``GeometryConfig.at``), as the partial-wave
+    sum derives its terms, so the two routes agree to that precision.
     """
     ctx = resolve(ctx)
     geo = _geometry(p, p0)
     if float(geo.R) <= COINCIDENCE_RTOL * (p.r + p0.r):
         raise CoincidentPoints(f"R={geo.R}; the kernel diverges like 1/R")
-    kappa = params.kappa
-    require_off_pole(kappa, kappa_guard)
+    require_off_pole(params.kappa, kappa_guard)
+    kappa = ctx.convert(params.kappa)
     k = ctx.convert(params.k)
-    bracket = hostler_bracket(ctx.convert(kappa), k * ctx.convert(geo.x),
-                              k * ctx.convert(geo.y), ctx)
-    return (ctx.gamma(ctx.convert(1 - kappa)) * bracket
-            / (4 * ctx.pi * ctx.convert(geo.R)))
+    R, x, y = geo.at(ctx)
+    return ctx.gamma(1 - kappa) * hostler_bracket(kappa, k * x, k * y, ctx) / (4 * ctx.pi * R)
 
 
 @dataclass
@@ -193,13 +196,15 @@ def partial_wave_green(params: CoulombParams, p: SphericalPoint,
     if float(geo.R) <= COINCIDENCE_RTOL * (p.r + p0.r):
         raise CoincidentRadii(
             "coincident points; the diagonal is covered by diagonal_density")
-    kappa = params.kappa
-    require_off_pole(kappa)
-    two_k = 2.0 * params.k
-    scaled = geometry_from_cosine(two_k * max(p.r, p0.r), two_k * min(p.r, p0.r),
-                                  geo.cos_gamma)
-    factory = addition_terms(kappa, scaled, normalized=False)
-    out = sum_series(factory, opts)
+    require_off_pole(params.kappa)
+
+    def terms(ctx):
+        two_k = 2 * ctx.convert(params.k)
+        scaled = geometry_from_cosine(two_k * ctx.convert(max(p.r, p0.r)),
+                                      two_k * ctx.convert(min(p.r, p0.r)), geo.cos_gamma)
+        return addition_terms(params.kappa, scaled, normalized=False)(ctx)
+
+    out = sum_series(terms, opts)
     ctx = context_for(opts)
     return SeriesEvaluation(value=ctx.convert(params.k) / (2 * ctx.pi) * out.value,
                             series=out)
@@ -236,21 +241,8 @@ def projection_kernel(n: int, g: float, p: SphericalPoint, p0: SphericalPoint,
         raise CoincidentPoints(
             "R=0 is angle-free; use diagonal_density instead")
     s = g / (2.0 * n)
-    bracket = (geo.x * laguerre(n - 1, 1, s * geo.x) * laguerre(n, 0, s * geo.y)
-               - geo.y * laguerre(n - 1, 1, s * geo.y) * laguerre(n, 0, s * geo.x))
     return (g ** 3 / (16.0 * math.pi * geo.R * n ** 4)
-            * math.exp(-s * (p.r + p0.r)) * bracket)
-
-
-def density_polynomial(n: int, t):
-    """L_n(t) L^1_{n-1}(t) - t L_n(t) L^2_{n-2}(t) + t (L^1_{n-1}(t))^2.
-
-    The polynomial part of the diagonal kernel; integrating it against
-    e^{-t} t^2 gives 2 n^3.  The middle term is absent for n=1.
-    """
-    mid = -t * laguerre(n, 0, t) * laguerre(n - 2, 2, t) if n >= 2 else 0.0
-    return (laguerre(n, 0, t) * laguerre(n - 1, 1, t) + mid
-            + t * laguerre(n - 1, 1, t) ** 2)
+            * math.exp(-s * (p.r + p0.r)) * laguerre_bracket(n, geo.x, geo.y, s))
 
 
 def diagonal_density(n: int, g: float, r: float) -> float:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
-    ConfluentPoint,
     DerivativeStepUnderflow,
     GeometryViolation,
     NearPole,
@@ -43,13 +42,15 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedOrder,
 )
-from .scalar import extended, is_nonpositive_integer, resolve
+from .scalar import is_nonpositive_integer, resolve
 from .special_core import (
     bessel_modified,
     binomial,
+    density_polynomial,
     gegenbauer_ladder,
     kummer_m,
     laguerre,
+    laguerre_bracket,
     legendre_p,
     pochhammer,
     spherical_harmonic,
@@ -147,6 +148,23 @@ class GeometryConfig:
         assert abs(float(self.x * self.y
                          - 2 * self.r * self.r0 * (1 + self.cos_gamma))) <= tol * scale * scale
 
+    def at(self, ctx):
+        """R, x, y at the context's working precision.
+
+        A float configuration carries a square root rounded to double, which
+        would floor any extended-precision residual near 1e-16; rebuilding
+        the derived quantities from (r, r0, cos_gamma) keeps both sides of an
+        identity consistent at full precision.  Rational configurations
+        convert exactly and are left alone.
+        """
+        if ctx.kind == "hardware" or isinstance(self.R, Fraction):
+            return ctx.convert(self.R), ctx.convert(self.x), ctx.convert(self.y)
+        r, r0, c = ctx.convert(self.r), ctx.convert(self.r0), ctx.convert(self.cos_gamma)
+        R = ctx.sqrt(r * r + r0 * r0 - 2 * r * r0 * c)
+        x = r + r0 + R
+        y = 2 * r * r0 * (1 + c) / x
+        return R, x, y
+
 
 def geometry_from(r, r0, gamma: float) -> GeometryConfig:
     """Build the configuration from radii and the angle in radians."""
@@ -178,24 +196,6 @@ def geometry_from_cosine(r, r0, cos_gamma, gamma: float | None = None) -> Geomet
         gamma = math.acos(min(1.0, max(-1.0, float(cos_gamma))))
     return GeometryConfig(r=r, r0=r0, gamma=float(gamma), R=R, x=x, y=y,
                           cos_gamma=cos_gamma)
-
-
-def _geometry_at(geo: GeometryConfig, ctx):
-    """R, x, y at the context's working precision.
-
-    A float configuration carries a square root rounded to double, which
-    would floor any extended-precision residual near 1e-16; rebuilding the
-    derived quantities from (r, r0, cos_gamma) keeps both sides of an
-    identity consistent at full precision.  Rational configurations convert
-    exactly and are left alone.
-    """
-    if ctx.kind == "hardware" or isinstance(geo.R, Fraction):
-        return ctx.convert(geo.R), ctx.convert(geo.x), ctx.convert(geo.y)
-    r, r0, c = ctx.convert(geo.r), ctx.convert(geo.r0), ctx.convert(geo.cos_gamma)
-    R = ctx.sqrt(r * r + r0 * r0 - 2 * r * r0 * c)
-    x = r + r0 + R
-    y = 2 * r * r0 * (1 + c) / x
-    return R, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +245,24 @@ def _report(lhs, rhs, precision, lhs_diag=None) -> IdentityReport:
         rel_err = float(diff / max(abs(a), abs(b), REL_ERR_FLOOR))
     return IdentityReport(lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
                           lhs_diag=lhs_diag, precision=precision)
+
+
+def _series_check(terms, closed, opts: SeriesOptions) -> IdentityReport:
+    """The series of ``terms`` summed under ``opts`` against ``closed(ctx)``,
+    the closed side at the context of ``opts``."""
+    out = sum_series(terms, opts)
+    return _report(out.value, closed(context_for(opts)), opts.precision, lhs_diag=out)
+
+
+def _finite_check(terms, rhs, exact: bool) -> IdentityReport | ExactReport:
+    """A finite sum against its closed side: exactly on Fractions when
+    ``exact`` (an ExactReport), else in doubles through ``sum_series``."""
+    terms = list(terms)
+    if exact:
+        lhs = exact_rational_sum(terms)
+        residual = lhs - rhs
+        return ExactReport(exact=residual == 0, residual=residual, lhs=lhs, rhs=rhs)
+    return _series_check(terms, lambda _ctx: rhs, SeriesOptions(max_terms=len(terms) + 1))
 
 
 def near_positive_integer(kappa, guard: float = KAPPA_GUARD) -> bool:
@@ -777,19 +795,18 @@ def _addition_check(kappa, geo: GeometryConfig, normalized: bool,
     integers, where Gamma(1-kappa) has a pole."""
     _require_ring(geo.r0, geo.r)
     require_off_pole(kappa)
-    opts = opts or SeriesOptions()
-    ctx = context_for(opts)
     if float(geo.r0) == 0.0:
         # M_{k,l+1/2}(r0) ~ r0^(l+1), so only l = 0 survives the 1/(r r0)
         # prefactor and the series collapses to W_{k,1/2}(r)/r
-        r = ctx.convert(geo.r)
-        lhs = whittaker_w((kappa, 0.5), r, ctx=ctx) / r
-        if not normalized:
-            lhs = lhs * ctx.gamma(1 - ctx.convert(kappa))
-        out = sum_series([lhs], opts)
+        def terms(ctx):
+            r = ctx.convert(geo.r)
+            lhs = whittaker_w((kappa, 0.5), r, ctx=ctx) / r
+            if not normalized:
+                lhs = lhs * ctx.gamma(1 - ctx.convert(kappa))
+            return [lhs]
     else:
-        out = sum_series(addition_terms(kappa, geo, normalized), opts)
-    return _report(out.value, closed(ctx), opts.precision, lhs_diag=out)
+        terms = addition_terms(kappa, geo, normalized)
+    return _series_check(terms, closed, opts or SeriesOptions())
 
 
 def verify_whittaker_addition(kappa, geo: GeometryConfig,
@@ -802,7 +819,7 @@ def verify_whittaker_addition(kappa, geo: GeometryConfig,
     integers, where the normalization has a pole.
     """
     def closed(ctx):
-        R, x, y = _geometry_at(geo, ctx)
+        R, x, y = geo.at(ctx)
         return hostler_bracket(ctx.convert(kappa), x / 2, y / 2, ctx) / R
 
     return _addition_check(kappa, geo, True, opts, closed)
@@ -853,38 +870,36 @@ def verify_kappa_integer_limit(n: int, geo: GeometryConfig,
             f"got n={n}")
     _require_ring(geo.r0, geo.r)
     opts = opts or SeriesOptions(precision=("extended", 40))
-    ctx = context_for(opts)
-    if ctx.kind == "hardware":
-        ctx = extended(40)
+    if context_for(opts).kind == "hardware":
         opts = replace(opts, precision=("extended", 40))
 
+    def closed(ctx):
+        R, x, y = geo.at(ctx)
+        xh, yh = x / 2, y / 2
+        r = ctx.convert(geo.r)
+        r0 = ctx.convert(geo.r0)
+        half = ctx.convert(1) / 2
+
+        def regularized(k):
+            order = (k, half)
+            return (hostler_bracket(k, xh, yh, ctx) / R
+                    - whittaker_m(order, r0, ctx=ctx) * whittaker_w(order, r, ctx=ctx) / (r * r0))
+
+        h = ctx.convert(step)
+        one = ctx.convert(1)
+        if (one + h / 4) - one == 0:
+            raise DerivativeStepUnderflow(
+                f"kappa step {step}/4 is below resolution at {ctx.digits} digits")
+        diffs = []
+        for i in range(3):
+            hi = h / (2 ** i)
+            diffs.append((regularized(one + hi) - regularized(one - hi)) / (2 * hi))
+        # two Richardson levels: error h^2 -> h^4 -> h^6
+        r1 = [(4 * diffs[i + 1] - diffs[i]) / 3 for i in range(2)]
+        return -(16 * r1[1] - r1[0]) / 15
+
     # Gamma(l+1-kappa)/(2l)! at kappa = 1 is (l-1)!/(2l)!
-    out = sum_series(addition_terms(1, geo, normalized=False, first=1), opts)
-
-    R, x, y = _geometry_at(geo, ctx)
-    xh, yh = x / 2, y / 2
-    r = ctx.convert(geo.r)
-    r0 = ctx.convert(geo.r0)
-    half = ctx.convert(1) / 2
-
-    def regularized(k):
-        order = (k, half)
-        return (hostler_bracket(k, xh, yh, ctx) / R
-                - whittaker_m(order, r0, ctx=ctx) * whittaker_w(order, r, ctx=ctx) / (r * r0))
-
-    h = ctx.convert(step)
-    one = ctx.convert(1)
-    if (one + h / 4) - one == 0:
-        raise DerivativeStepUnderflow(
-            f"kappa step {step}/4 is below resolution at {ctx.digits} digits")
-    diffs = []
-    for i in range(3):
-        hi = h / (2 ** i)
-        diffs.append((regularized(one + hi) - regularized(one - hi)) / (2 * hi))
-    # two Richardson levels: error h^2 -> h^4 -> h^6
-    r1 = [(4 * diffs[i + 1] - diffs[i]) / 3 for i in range(2)]
-    deriv = (16 * r1[1] - r1[0]) / 15
-    return _report(out.value, -deriv, opts.precision, lhs_diag=out)
+    return _series_check(addition_terms(1, geo, normalized=False, first=1), closed, opts)
 
 
 def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityReport:
@@ -893,17 +908,14 @@ def verify_m_exp_sum(kappa, z, opts: SeriesOptions | None = None) -> IdentityRep
     require_off_pole(kappa)
     if complex(z) == 0:
         raise GeometryViolation("z=0 is the removable point; evaluate nearby instead")
-    opts = opts or SeriesOptions()
 
     def terms(ctx):
         zz = ctx.convert(z)
         return _gegenbauer_terms(ctx.convert(kappa), ctx.convert(1) / 2, ctx.convert(-1),
                                  1 / zz, zz, None, 0, ctx)
 
-    out = sum_series(terms, opts)
-    ctx = context_for(opts)
-    rhs = ctx.exp(-ctx.convert(z) / 2)
-    return _report(out.value, rhs, opts.precision, lhs_diag=out)
+    return _series_check(terms, lambda ctx: ctx.exp(-ctx.convert(z) / 2),
+                         opts or SeriesOptions())
 
 
 # ---------------------------------------------------------------------------
@@ -939,14 +951,13 @@ def verify_graf_2d(k, r0, r, phi, opts: SeriesOptions | None = None) -> Identity
     ctx = context_for(opts)
     kk, u, v, angle = (ctx.convert(x) for x in (k, r, r0, phi))
     R = ctx.sqrt(u * u + v * v - 2 * u * v * ctx.cos(angle))
-    rhs = bessel_modified(0, kk * R, "K", ctx=ctx)
     if float(r0) == 0.0:
         # I_n(0) = 0 for n >= 1 and I_0(0) = 1: only the n=0 term survives
-        lhs = bessel_modified(0, kk * u, "K", ctx=ctx)
-        return _report(lhs, rhs, opts.precision, lhs_diag=sum_series([lhs], opts))
-    weights = (ctx.cos(n * angle) * (2 if n else 1) for n in itertools.count())
-    out = sum_series(_bessel_terms(ctx.convert(0), kk * v, kk * u, weights, ctx), opts)
-    return _report(out.value, rhs, opts.precision, lhs_diag=out)
+        terms = [bessel_modified(0, kk * u, "K", ctx=ctx)]
+    else:
+        weights = (ctx.cos(n * angle) * (2 if n else 1) for n in itertools.count())
+        terms = _bessel_terms(ctx.convert(0), kk * v, kk * u, weights, ctx)
+    return _series_check(terms, lambda _ctx: bessel_modified(0, kk * R, "K", ctx=ctx), opts)
 
 
 def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = None) -> IdentityReport:
@@ -965,10 +976,10 @@ def verify_gegenbauer_addition(nu, r0, r, gamma, opts: SeriesOptions | None = No
     c = ctx.convert(math.cos(float(gamma)))
     pref = ctx.power(2, nn) * ctx.gamma(nn) / ctx.power(u * v, nn)
     weights = (pref * (nn + n) * g_val for n, g_val in enumerate(gegenbauer_ladder(nn, c)))
-    out = sum_series(_bessel_terms(nn, v, u, weights, ctx), opts)
     R = ctx.sqrt(u * u + v * v - 2 * u * v * c)
-    rhs = bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, nn)
-    return _report(out.value, rhs, opts.precision, lhs_diag=out)
+    return _series_check(_bessel_terms(nn, v, u, weights, ctx),
+                         lambda _ctx: bessel_modified(nu, R, "K", ctx=ctx) / ctx.power(R, nn),
+                         opts)
 
 
 def verify_spherical_addition(l: int, theta, phi, theta0, phi0) -> IdentityReport:
@@ -979,11 +990,10 @@ def verify_spherical_addition(l: int, theta, phi, theta0, phi0) -> IdentityRepor
             yield (spherical_harmonic(l, m, theta, phi)
                    * spherical_harmonic(l, m, theta0, phi0).conjugate())
 
-    out = sum_series(terms, SeriesOptions(max_terms=2 * l + 2))
     cg = (math.cos(theta) * math.cos(theta0)
           + math.sin(theta) * math.sin(theta0) * math.cos(phi - phi0))
-    rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, 0, cg)
-    return _report(out.value, rhs, "hardware", lhs_diag=out)
+    return _series_check(terms, lambda _ctx: (2 * l + 1) / (4 * math.pi) * legendre_p(l, 0, cg),
+                         SeriesOptions(max_terms=2 * l + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1005,31 +1015,20 @@ def verify_laguerre_addition(n: int, geo: GeometryConfig) -> IdentityReport | Ex
     _require_ring(geo.r0, geo.r)
     exact = all(isinstance(q, (Fraction, int)) for q in
                 (geo.r, geo.r0, geo.R, geo.x, geo.y, geo.cos_gamma))
-    # Fraction, not int: legendre_p of an integer cosine returns floats
-    r, r0, c = map(Fraction if exact else float, (geo.r, geo.r0, geo.cos_gamma))
+    r, r0, c, R, x, y = map(Fraction if exact else float,
+                            (geo.r, geo.r0, geo.cos_gamma, geo.R, geo.x, geo.y))
 
     def term(l):
         w = Fraction((2 * l + 1) * math.factorial(n - l - 1), math.factorial(n + l))
         return (w * (r * r0) ** l * laguerre(n - l - 1, 2 * l + 1, r)
                 * laguerre(n - l - 1, 2 * l + 1, r0) * legendre_p(l, 0, c))
 
-    if exact:
-        lhs = exact_rational_sum(term(l) for l in range(n))
-        rhs = (geo.x * laguerre(n - 1, 1, Fraction(geo.x, 2)) * laguerre(n, 0, Fraction(geo.y, 2))
-               - geo.y * laguerre(n - 1, 1, Fraction(geo.y, 2)) * laguerre(n, 0, Fraction(geo.x, 2))
-               ) / (2 * geo.R)
-        residual = lhs - rhs
-        return ExactReport(exact=residual == 0, residual=residual, lhs=lhs, rhs=rhs)
-
-    out = sum_series((term(l) for l in range(n)), SeriesOptions(max_terms=n + 1))
-    x, y, R = float(geo.x), float(geo.y), float(geo.R)
-    rhs = (x * laguerre(n - 1, 1, x / 2) * laguerre(n, 0, y / 2)
-           - y * laguerre(n - 1, 1, y / 2) * laguerre(n, 0, x / 2)) / (2 * R)
-    return _report(out.value, rhs, "hardware", lhs_diag=out)
+    rhs = laguerre_bracket(n, x, y, Fraction(1, 2)) / (2 * R)
+    return _finite_check((term(l) for l in range(n)), rhs, exact)
 
 
-def verify_laguerre_symmetric(n: int, u, v, variant: str = "interior",
-                              allow_confluent: bool = False) -> IdentityReport | ExactReport:
+def verify_laguerre_symmetric(n: int, u, v,
+                              variant: str = "interior") -> IdentityReport | ExactReport:
     """Symmetric-polynomial Laguerre identities for arbitrary complex u, v.
 
     variant="interior":
@@ -1037,9 +1036,9 @@ def verify_laguerre_symmetric(n: int, u, v, variant: str = "interior",
         = [u L^1_n(u) L_{n+1}(v) - v L^1_n(v) L_{n+1}(u)] / (u - v)
     variant="pi": the alternating sum against L^1_n(u+v).
 
-    At u = v the interior quotient is 0/0; with allow_confluent the limit
-    L^1_n L_{n+1} + u ((L^1_n)^2 - L^2_{n-1} L_{n+1}) is used, otherwise
-    ConfluentPoint is raised.  Exact Fraction inputs yield an ExactReport.
+    At u = v the interior quotient is 0/0 and its limit, the density
+    polynomial L^1_n L_{n+1} + u ((L^1_n)^2 - L^2_{n-1} L_{n+1}) of degree
+    n+1, is used.  Exact Fraction inputs yield an ExactReport.
     """
     if n < 0:
         raise UnsupportedOrder(f"need n >= 0, got {n}")
@@ -1058,27 +1057,26 @@ def verify_laguerre_symmetric(n: int, u, v, variant: str = "interior",
     if variant == "pi":
         rhs = laguerre(n, 1, u + v)
     elif u == v:
-        if not allow_confluent:
-            raise ConfluentPoint("u = v needs allow_confluent=True (derivative limit)")
-        a = laguerre(n, 1, u)
-        b = laguerre(n + 1, 0, u)
-        a2 = laguerre(n - 1, 2, u) if n >= 1 else u * 0
-        rhs = a * b + u * (a * a - a2 * b)
+        rhs = density_polynomial(n + 1, u)
     else:
-        rhs = (u * laguerre(n, 1, u) * laguerre(n + 1, 0, v)
-               - v * laguerre(n, 1, v) * laguerre(n + 1, 0, u)) / (u - v)
-
-    if exact:
-        lhs = exact_rational_sum(term(l) for l in range(n + 1))
-        residual = lhs - rhs
-        return ExactReport(exact=residual == 0, residual=residual, lhs=lhs, rhs=rhs)
-    out = sum_series((term(l) for l in range(n + 1)), SeriesOptions(max_terms=n + 2))
-    return _report(out.value, rhs, "hardware", lhs_diag=out)
+        rhs = laguerre_bracket(n + 1, u, v) / (u - v)
+    return _finite_check((term(l) for l in range(n + 1)), rhs, exact)
 
 
 # ---------------------------------------------------------------------------
 # downward W-sum, pi-form generalization, M-Gegenbauer sum, binomial lemma
 # ---------------------------------------------------------------------------
+
+def _binomial_weights(n: int, two_mu):
+    """C(n,l) (2mu+2l)/(2mu+l)_{n+1} for l = 0, ..., n, the weights of the
+    downward W-sum, of its coefficient sum and of the binomial lemma, in
+    the arithmetic of two_mu; PoleHit where (2mu+l)_{n+1} vanishes."""
+    for l in range(n + 1):
+        den = pochhammer(two_mu + l, n + 1)
+        if den == 0:
+            raise PoleHit(f"(2mu+{l})_{n + 1} = 0 at 2mu={two_mu}")
+        yield binomial(n, l) * (two_mu + 2 * l) / den
+
 
 def verify_w_downward_sum(n: int, kappa, mu, r, opts: SeriesOptions | None = None) -> IdentityReport:
     """Binomial downward sum of W along the second order:
@@ -1099,43 +1097,33 @@ def verify_w_downward_sum(n: int, kappa, mu, r, opts: SeriesOptions | None = Non
     # when fewer than (tolerance digits + 3) would survive at hardware
     if opts.precision == "hardware" and 16 - 0.434 * float(r) < 13:
         opts = replace(opts, precision=("extended", 40))
-    ctx = context_for(opts)
 
-    def terms(c):
-        k = c.convert(kappa)
-        m = c.convert(mu)
-        rr = c.convert(r)
-        for l in range(n + 1):
-            den = pochhammer(2 * m + l, n + 1)
-            if den == 0:
-                raise ParameterPole(f"(2mu+{l})_{n + 1} vanished")
-            t = (binomial(n, l) * (2 * m + 2 * l) / den
-                 * whittaker_w((k, m + l), rr, ctx=c))
+    def terms(ctx):
+        k = ctx.convert(kappa)
+        m = ctx.convert(mu)
+        rr = ctx.convert(r)
+        for l, weight in enumerate(_binomial_weights(n, 2 * m)):
+            t = weight * whittaker_w((k, m + l), rr, ctx=ctx)
             yield -t if l % 2 else t
+
+    def closed(ctx):
+        k = ctx.convert(kappa)
+        m = ctx.convert(mu)
+        rr = ctx.convert(r)
+        half_n = ctx.convert(n) / 2
+        return ((-1) ** n * ctx.power(rr, -half_n)
+                * whittaker_w((k - half_n, m + half_n), rr, ctx=ctx))
 
     # per order on purpose: the identity is itself a contiguous relation in
     # mu, so a recurred W would make the check circular
-    out = sum_series(terms, replace(opts, max_terms=n + 2))
-    k = ctx.convert(kappa)
-    m = ctx.convert(mu)
-    rr = ctx.convert(r)
-    half_n = ctx.convert(n) / 2
-    rhs = ((-1) ** n * ctx.power(rr, -half_n)
-           * whittaker_w((k - half_n, m + half_n), rr, ctx=ctx))
-    return _report(out.value, rhs, opts.precision, lhs_diag=out)
+    return _series_check(terms, closed, replace(opts, max_terms=n + 2))
 
 
 def coefficient_delta_sum(n: int, mu) -> Fraction:
     """Exact rational value of sum_{l=0}^n (-1)^l C(n,l)(2mu+2l)/(2mu+l)_{n+1},
     which the large-r asymptotics of the downward W-sum forces to delta_{n,0}."""
-    m2 = 2 * Fraction(mu)
-    total = Fraction(0)
-    for l in range(n + 1):
-        den = pochhammer(m2 + l, n + 1)
-        if den == 0:
-            raise PoleHit(f"(2mu+{l})_{n + 1} = 0 at mu={mu}")
-        total += (-1) ** l * binomial(n, l) * (m2 + 2 * l) / den
-    return total
+    return sum((-w if l % 2 else w)
+               for l, w in enumerate(_binomial_weights(n, 2 * Fraction(mu))))
 
 
 def pi_addition_terms(kappa, mu, r0, r, lmax: int, ctx=None) -> list:
@@ -1238,7 +1226,6 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
     """
     if not float(complex(mu).real) > 0 or complex(mu).imag != 0:
         raise ParameterPole(f"need real mu > 0, got {mu}")
-    opts = opts or SeriesOptions()
 
     def terms(ctx):
         m = ctx.convert(mu)
@@ -1247,15 +1234,15 @@ def verify_m_gegenbauer_sum(kappa, mu, z, gamma,
         return _gegenbauer_terms(ctx.convert(kappa), m, ctx.cos(ctx.convert(gamma)), pref,
                                  zz, None, 0, ctx)
 
-    out = sum_series(terms, opts)
-    ctx = context_for(opts)
-    k = ctx.convert(kappa)
-    m = ctx.convert(mu)
-    zz = ctx.convert(z)
-    half = ctx.convert(1) / 2
-    chalf = ctx.cos(ctx.convert(gamma) / 2)
-    rhs = ctx.exp(-zz / 2) * kummer_m(m - k + half, m + half, chalf * chalf * zz, ctx=ctx)
-    return _report(out.value, rhs, opts.precision, lhs_diag=out)
+    def closed(ctx):
+        k = ctx.convert(kappa)
+        m = ctx.convert(mu)
+        zz = ctx.convert(z)
+        half = ctx.convert(1) / 2
+        chalf = ctx.cos(ctx.convert(gamma) / 2)
+        return ctx.exp(-zz / 2) * kummer_m(m - k + half, m + half, chalf * chalf * zz, ctx=ctx)
+
+    return _series_check(terms, closed, opts or SeriesOptions())
 
 
 def verify_lemma_binomial(N: int, nu) -> ExactReport:
@@ -1272,12 +1259,7 @@ def verify_lemma_binomial(N: int, nu) -> ExactReport:
     rhs_den = pochhammer(nu + Fraction(1, 2), N)
     if rhs_den == 0:
         raise PoleHit(f"(nu+1/2)_{N} = 0 at nu={nu}")
-    lhs = Fraction(0)
-    for l in range(N + 1):
-        den = pochhammer(2 * nu + l, N + 1)
-        if den == 0:
-            raise PoleHit(f"(2nu+{l})_{N + 1} = 0 at nu={nu}")
-        lhs += binomial(N, l) * (2 * nu + 2 * l) / den
+    lhs = sum(_binomial_weights(N, 2 * nu))
     rhs = 1 / rhs_den
     residual = lhs - rhs
     return ExactReport(exact=residual == 0, residual=residual, lhs=lhs, rhs=rhs)

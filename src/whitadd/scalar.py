@@ -132,10 +132,7 @@ class HardwareContext:
             return complex(x)
         if isinstance(x, (int, float, Fraction)):
             return float(x)
-        if isinstance(x, (mpmath.mpf, mpmath.mpc)):
-            c = complex(x)
-            return c.real if c.imag == 0.0 else c
-        # numpy scalars and anything float-like
+        # mpmath and numpy scalars and anything float-like
         c = complex(x)
         return c.real if c.imag == 0.0 else c
 

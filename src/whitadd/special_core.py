@@ -222,6 +222,29 @@ def laguerre(n: int, alpha=0, x=0.0):
     return p
 
 
+def laguerre_bracket(n: int, x, y, s=1):
+    """x L^1_{n-1}(s x) L_n(s y) - y L^1_{n-1}(s y) L_n(s x).
+
+    The Laguerre bracket of the finite addition formulas and of the
+    projection kernel; exact for exact inputs, like ``laguerre``.
+    """
+    sx, sy = s * x, s * y
+    return (x * laguerre(n - 1, 1, sx) * laguerre(n, 0, sy)
+            - y * laguerre(n - 1, 1, sy) * laguerre(n, 0, sx))
+
+
+def density_polynomial(n: int, t):
+    """L_n(t) L^1_{n-1}(t) - t L_n(t) L^2_{n-2}(t) + t (L^1_{n-1}(t))^2.
+
+    The polynomial part of the diagonal projection kernel, and the u = v
+    limit of laguerre_bracket(n, u, v)/(u - v); integrating it against
+    e^{-t} t^2 gives 2 n^3.  The middle term is absent for n=1.
+    """
+    mid = -t * laguerre(n, 0, t) * laguerre(n - 2, 2, t) if n >= 2 else t * 0
+    return (laguerre(n, 0, t) * laguerre(n - 1, 1, t) + mid
+            + t * laguerre(n - 1, 1, t) ** 2)
+
+
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Orthonormal spherical harmonic Y_l^m(theta, phi).
 
@@ -260,18 +283,18 @@ def _hyp1f1_poly(m: int, b, z, ctx):
     return total
 
 
-def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
+def _hyp1f1_series(a, b, z, ctx):
     """Power series sum_k (a)_k z^k / ((b)_k k!) by term recurrence.
 
     Caller guarantees (b)_k never hits zero before the series terminates.
     """
     if ctx.kind != "hardware":
-        return _fixed_point(_hyp1f1_fixed, (a, b, z, max_terms, False), ctx)
+        return _fixed_point(_hyp1f1_fixed, (a, b, z, MAX_TERMS, False), ctx)
     eps, mag = ctx.eps, ctx.abs
     term = ctx.convert(1)
     total = term
     small = 0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         den = b + k
         if den == 0:
             raise PoleAtNonpositiveB(
@@ -284,7 +307,7 @@ def _hyp1f1_series(a, b, z, ctx, max_terms=MAX_TERMS):
                 return total
         else:
             small = 0
-    raise NoConvergence(f"1F1({a}; {b}; {z}) did not converge in {max_terms} terms")
+    raise NoConvergence(f"1F1({a}; {b}; {z}) did not converge in {MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +415,7 @@ def kummer_m(a, b, z, ctx=None):
     return _hyp1f1_series(a, b, z, ctx)
 
 
-def _hyp_u_asymptotic(a, b, z, ctx, max_terms=MAX_TERMS):
+def _hyp_u_asymptotic(a, b, z, ctx):
     """Optimally truncated z -> inf expansion of U [AS 13.5.1].
 
     U(a,b,z) ~ z^{-a} sum_k (a)_k (a-b+1)_k / (k! (-z)^k). Returns the value
@@ -407,7 +430,7 @@ def _hyp_u_asymptotic(a, b, z, ctx, max_terms=MAX_TERMS):
     best_rel = 1.0
     prev_mag = mag(term)
     small = 0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         term = term * (a + k) * (c + k) / (neg_z * (k + 1))
         term_mag = mag(term)
         if term_mag > prev_mag:

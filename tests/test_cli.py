@@ -349,6 +349,24 @@ def test_green_json(capsys):
     assert payload["lmax"] >= 3
 
 
+def test_green_extended_residual(capsys):
+    # the residual is taken at the command's precision, not in complex doubles
+    rc, out, _ = run(["green", "--g", "1", "--k", "0.7", "--p", "2,1.1,0.7",
+                      "--p0", "1,2,4", "--digits", "50", "--json"], capsys)
+    assert rc == 0
+    assert json.loads(out)["rel_residual"] < 1e-20
+
+
+@pytest.mark.parametrize("command", ["green", "eval hostler"])
+@pytest.mark.parametrize("flags", ["--g 1 --k 0.7+0.1j", "--g 1j --k 0.7",
+                                   "--g abc --k 0.7"])
+def test_green_parameters_must_be_real(command, flags, capsys):
+    argv = [*command.split(), *flags.split(), "--p", "2,1.1,0.7", "--p0", "1,2,4"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "internal" not in err
+
+
 # --- golden ------------------------------------------------------------------------
 
 def test_golden_write_reproduces_committed_file(tmp_path, capsys):

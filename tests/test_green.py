@@ -35,6 +35,7 @@ from whitadd.green import (
     separation,
     spectral_k,
 )
+from whitadd.scalar import extended
 from whitadd.special_core import laguerre, whittaker_w
 from whitadd.summation import SeriesOptions
 
@@ -177,6 +178,19 @@ def test_partial_wave_matches_hostler():
     ev2 = partial_wave_green(PARAMS, P0, P)
     assert abs(ev2.value - ev.value) <= 1e-13 * abs(ev.value)
     assert ev.series.condition_number >= 1.0
+
+
+@pytest.mark.parametrize("g, k", [(1.0, 0.7), (2.3, 0.4)])
+def test_routes_agree_at_50_digits(g, k):
+    # both routes take R, x, y and the 2k-scaled radii at the working
+    # precision from the same doubles, so they agree to it, not to 1e-16
+    ctx = extended(50)
+    opts = SeriesOptions(rel_tol=1e-48, max_terms=100_000, precision=("extended", 50))
+    params = CoulombParams(g, k)
+    for p, p0 in ((SphericalPoint(3.0, 0.4, 0.0), SphericalPoint(1.2, 2.2, 5.1)), (P, P0)):
+        hv = hostler_green(params, p, p0, ctx=ctx)
+        pw = partial_wave_green(params, p, p0, opts=opts).value
+        assert abs(pw - hv) <= 1e-45 * abs(hv), (g, k, p)
 
 
 def test_partial_wave_colinear():

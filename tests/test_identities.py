@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from helpers import assert_rel, golden_value, rel
 from whitadd.errors import (
-    ConfluentPoint,
     GeometryViolation,
     NearPole,
     NoConvergence,
@@ -284,12 +283,13 @@ def test_laguerre_symmetric_variants():
 
 
 def test_laguerre_symmetric_confluent_point():
-    with pytest.raises(ConfluentPoint):
-        verify_laguerre_symmetric(3, 1.5, 1.5)
-    rep = verify_laguerre_symmetric(3, 1.5, 1.5, allow_confluent=True)
+    # at u = v the interior form is its limit, the density polynomial
+    rep = verify_laguerre_symmetric(3, 1.5, 1.5)
     assert rep.rel_err < 1e-12
-    rep = verify_laguerre_symmetric(3, Fraction(3, 2), Fraction(3, 2), allow_confluent=True)
+    rep = verify_laguerre_symmetric(3, Fraction(3, 2), Fraction(3, 2))
     assert rep.exact and rep.residual == 0
+    rep = verify_laguerre_symmetric(0, Fraction(3, 2), Fraction(3, 2))
+    assert rep.exact and rep.residual == 0 and isinstance(rep.rhs, Fraction)
 
 
 # --- downward W sum and its coefficient corollary -------------------------------

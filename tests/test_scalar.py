@@ -324,6 +324,9 @@ def _check_against_mpmath(name, z, got):
 # a million steps
 @example(name="loggamma", re=-1e6 - 0.5, im=0.0)
 @example(name="digamma", re=-1e8, im=5.0)
+# subnormal, where the reflection's 2 pi (z - round z) keeps only a few bits
+@example(name="loggamma", re=-5e-324, im=0.0)
+@example(name="loggamma", re=-5e-324, im=1e-320)
 def test_hardware_gamma_family_complex_against_mpmath(name, re, im):
     z = complex(re, im)
     _check_against_mpmath(name, z, getattr(HARDWARE, name)(z))

@@ -228,6 +228,29 @@ def test_kummer_u_values(golden):
     assert_rel(kummer_u(-2, 0.8, 1.1), sp.hyperu(-2, 0.8, 1.1), 1e-13)
 
 
+@pytest.mark.parametrize("ctx, tol", [(None, 1e-11), (extended(40), 1e-38)],
+                         ids=["hardware", "extended"])
+def test_kummer_u_nonpositive_integer_b(ctx, tol):
+    # b = 0, -1, -2, ... goes through U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z)
+    for a, b, z in ((0.3, 0, 1.5), (1.7, -2, 4.0), (-0.4, -1, 10.0), (0.5, -3, 0.2),
+                    (0.3 + 0.4j, -1, 2.5)):
+        with mpmath.workdps(60):
+            want = mpmath.hyperu(a, b, z)
+            assert abs(kummer_u(a, b, z, ctx=ctx) - want) <= tol * abs(want), (a, b, z)
+
+
+@pytest.mark.parametrize("ctx", [None, extended(40)], ids=["hardware", "extended"])
+def test_kummer_u_refuses_its_excluded_arguments(ctx):
+    for z in (2 + 1j, -2.0, 0.0):
+        with pytest.raises(UnsupportedRegion, match="real z > 0"):
+            kummer_u(0.5, 1.5, z, ctx=ctx)
+    # the integer-b log expansion below SMALL_Z_CUTOFF, b = 2 directly and
+    # b = 0 through the shift to b = 2
+    for b in (2, 0):
+        with pytest.raises(UnsupportedRegion, match="refused below"):
+            kummer_u(0.5, b, 1e-9, ctx=ctx)
+
+
 @pytest.mark.parametrize("ctx", [None, extended(50)], ids=["hardware", "extended"])
 def test_non_finite_parameters_are_unsupported(ctx):
     # -inf used to escape as a bare OverflowError from round(-inf)
