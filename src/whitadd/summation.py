@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,8 +74,9 @@ def context_for(options: SeriesOptions):
 RATIO_WINDOW = 32
 
 
-class _TailWindow:
-    """Geometric tail bound from the decay observed over a trailing window.
+def _tail_bound(mags: list) -> float:
+    """Geometric tail bound from the decay observed over a trailing window
+    of the term magnitudes ``mags``.
 
     Single-step ratios are useless when the terms carry an oscillating or
     parity-split factor -- a Legendre polynomial passing near a zero makes
@@ -96,67 +96,27 @@ class _TailWindow:
 
     The window is mags[start:n], start = max(0, n - RATIO_WINDOW), with head
     half mags[start:mid] and tail half mags[mid:n], mid = start + (n-start)//2.
-    Both halves only move right, so each keeps its running maximum in a
-    monotonic deque of indices and a term costs O(1) work, not a rescan of
-    the window.  NaN magnitudes stay out of the deques; a half's peak is NaN
-    when its first magnitude is, else the largest of the others, which is
-    what ``max`` over the half gives.
+    A half's peak is ``max`` over it: NaN when its first magnitude is, else
+    the largest of the others.  Short of a NaN, the bound is never below the
+    tail half's peak, and so never below the last magnitude: a finite one,
+    with d = mid - start >= 2, is at least m_head q / (1 - q) >= m_head q^d.
     """
-
-    def __init__(self):
-        self._mags: list[float] = []
-        self._head: deque = deque()
-        self._tail: deque = deque()
-        self._mid = 0
-        self._last_nan = -1
-
-    def push(self, mag: float) -> float:
-        """Append one term magnitude and return the tail bound."""
-        mags = self._mags
-        mags.append(mag)
-        n = len(mags)
-        head, tail = self._head, self._tail
-        if mag == mag:
-            while tail and mags[tail[-1]] <= mag:
-                tail.pop()
-            tail.append(n - 1)
-        else:
-            self._last_nan = n - 1
-        if n > RATIO_WINDOW:
-            start, mid = n - RATIO_WINDOW, n - RATIO_WINDOW // 2
-        else:
-            start, mid = 0, n // 2
-        # start and mid advance by at most one per term, so at most one
-        # magnitude enters the head half and one index leaves each deque
-        if self._mid < mid:
-            self._mid = mid
-            m = mags[mid - 1]
-            if m == m:
-                while head and mags[head[-1]] <= m:
-                    head.pop()
-                head.append(mid - 1)
-        if head and head[0] < start:
-            head.popleft()
-        if tail and tail[0] < mid:
-            tail.popleft()
-        if n < 4:
-            return math.inf
-        m_head, m_tail = mags[start], mags[mid]
-        if m_head == m_head:
-            m_head = mags[head[0]]
-        if m_tail == m_tail:
-            m_tail = mags[tail[0]]
-        if self._last_nan < start and m_head == 0.0 and m_tail == 0.0:
-            # underflowed or exactly terminated, but only trust a full window
-            return 0.0 if n >= RATIO_WINDOW else math.inf
-        if m_tail == 0.0:
-            return 0.0  # the trailing half underflowed entirely
-        if m_head == 0.0:
-            return math.inf
-        q = (m_tail / m_head) ** (1.0 / (mid - start))
-        if not q < 1.0:
-            return math.inf
-        return (m_tail if m_tail > m_head else m_head) * q / (1.0 - q)
+    n = len(mags)
+    if n < 4:
+        return math.inf
+    start = max(0, n - RATIO_WINDOW)
+    mid = start + (n - start) // 2
+    m_head, m_tail = max(mags[start:mid]), max(mags[mid:])
+    if m_tail == 0.0:
+        # the trailing half underflowed; a window of zeros may instead be an
+        # exactly terminated series, which only a full window is trusted to show
+        return 0.0 if n >= RATIO_WINDOW or any(m != 0.0 for m in mags) else math.inf
+    if m_head == 0.0:
+        return math.inf
+    q = (m_tail / m_head) ** (1.0 / (mid - start))
+    if not q < 1.0:
+        return math.inf
+    return (m_tail if m_tail > m_head else m_head) * q / (1.0 - q)
 
 
 def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
@@ -192,14 +152,20 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     # s + c, or complex(s + c, s_im + c_im).  Extended contexts carry enough
     # digits to add plainly into s.  The magnitudes and their sum abs_sum,
     # which only steer the stop rule and the condition number, are floats.
-    window = _TailWindow()
+    #
+    # The stop rule wants tail <= rel_tol * |value|.  The tail bound is never
+    # below the last magnitude, and |value| <= abs_sum up to rounding, so a
+    # term with mag > rel_tol * 2 abs_sum cannot pass it: such a term only
+    # resets ``passes``, without the bound or |value| being formed.  A NaN
+    # or overflowing 2 abs_sum never skips, so every stop, value and
+    # exception is the one the full rule gives on every term.
     hardware = ctx.kind == "hardware"
     s = value = 0.0 if hardware else ctx.convert(0)
     c = 0.0
     s_im = c_im = None
+    mags: list[float] = []
     abs_sum = 0.0
     max_mag = 0.0
-    tail = math.inf
     passes = 0
     n = 0
 
@@ -207,6 +173,7 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
         it = iter(terms(ctx) if callable(terms) else terms)
         while True:
             if n >= max_terms:
+                tail = _tail_bound(mags)
                 outcome = _finish(value, n, max_mag, abs_sum, tail, ctx)
                 logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
                 raise NoConvergence(
@@ -238,17 +205,22 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
                 c += (s - new) + t_re if abs(s) >= abs(t_re) else (t_re - new) + s
                 s = new
                 value = s + c if s_im is None else complex(s + c, s_im + c_im)
-                value_mag = abs(value)
             else:
                 term = ctx.convert(term)
                 mag = ctx.abs(term)
                 s = value = s + term
-                value_mag = ctx.abs(value)
+            reach = 2.0 * (abs_sum + mag)
+            value_mag = (None if mag > rel_tol * (1e-300 if reach < 1e-300 else reach)
+                         else ctx.abs(value))
             abs_sum = abs_sum + mag
             if mag > max_mag:
                 max_mag = mag
             n += 1
-            tail = window.push(mag)
+            mags.append(mag)
+            if value_mag is None:
+                passes = 0
+                continue
+            tail = _tail_bound(mags)
             if tail <= rel_tol * (1e-300 if value_mag < 1e-300 else value_mag):
                 passes += 1
                 if passes >= CONSECUTIVE_PASSES:
@@ -260,7 +232,7 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
         raise NoConvergence(
             f"series terms left the {ctx.kind} range before the tail met "
             "tolerance; raise the precision or loosen rel_tol",
-            outcome=_finish(value, n, max_mag, abs_sum, tail, ctx)) from exc
+            outcome=_finish(value, n, max_mag, abs_sum, _tail_bound(mags), ctx)) from exc
 
     return _finish(value, n, max_mag, abs_sum, tail, ctx)
 

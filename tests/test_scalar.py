@@ -12,14 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from whitadd.scalar import (
-    HARDWARE,
-    ExtendedContext,
-    extended,
-    is_nonpositive_integer,
-    nearest_integer,
-    resolve,
-)
+from whitadd import scalar
+from whitadd.mpcontext import ExtendedContext
+from whitadd.scalar import HARDWARE, extended, is_nonpositive_integer, nearest_integer, resolve
 
 
 def test_nonpositive_integer_exact_types():
@@ -225,6 +220,21 @@ def test_extended_contexts_are_memoized_per_thread():
     worker.join()
     assert other[0] is not extended(45)
     assert other[0].digits == 45
+
+
+def test_extended_constructs_through_the_module_attribute(monkeypatch):
+    # the benchmark's tracer counts contexts by replacing scalar.ExtendedContext
+    made = []
+
+    class Counted(ExtendedContext):
+        def __init__(self, digits):
+            made.append(digits)
+            super().__init__(digits)
+
+    assert scalar.ExtendedContext is ExtendedContext
+    monkeypatch.setattr(scalar, "ExtendedContext", Counted)
+    monkeypatch.setattr(scalar, "_thread_contexts", threading.local())
+    assert type(extended(41)) is Counted and made == [41]
 
 
 def test_extended_extra_digits_scopes_precision():
