@@ -55,7 +55,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import WhitaddError
-from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
 from .green import (CoulombParams, SeriesEvaluation, SphericalPoint, diagonal_density,
                     gauss_laguerre_integral, hostler_green, partial_wave_green,
                     projection_kernel, radial_distribution, radial_norm)
@@ -72,7 +71,7 @@ from .identities import (coefficient_delta_sum, geometry_from,
 from .scalar import extended
 from .special_core import (bessel_modified, density_polynomial, gegenbauer_c, kummer_m,
                            kummer_u, laguerre, legendre_p, spherical_harmonic,
-                           whittaker_m, whittaker_w)
+                           whittaker_m, whittaker_w, whittaker_with_derivative)
 from .summation import (DEFAULT_MAX_TERMS, SeriesOptions, context_for,
                         mu_large_term_surrogate)
 
@@ -270,11 +269,13 @@ def options_from(args, digits: int | None, rel_tol: float | None = None) -> Seri
 # returns the value, or partial_wave's SeriesEvaluation with its diagnostics
 EVAL_FUNCTIONS = {
     "whittaker_m": (("kappa", "mu", "r"), ("deriv",),
-                    lambda a, ctx, opts: whittaker_m((a["kappa"], a["mu"]), a["r"],
-                                                     deriv=a["deriv"], ctx=ctx)),
+                    lambda a, ctx, opts: whittaker_with_derivative(
+                        "M", (a["kappa"], a["mu"]), a["r"], ctx)[1] if a["deriv"]
+                    else whittaker_m((a["kappa"], a["mu"]), a["r"], ctx=ctx)),
     "whittaker_w": (("kappa", "mu", "r"), ("deriv",),
-                    lambda a, ctx, opts: whittaker_w((a["kappa"], a["mu"]), a["r"],
-                                                     deriv=a["deriv"], ctx=ctx)),
+                    lambda a, ctx, opts: whittaker_with_derivative(
+                        "W", (a["kappa"], a["mu"]), a["r"], ctx)[1] if a["deriv"]
+                    else whittaker_w((a["kappa"], a["mu"]), a["r"], ctx=ctx)),
     "kummer_m": (("a", "b", "z"), (),
                  lambda a, ctx, opts: kummer_m(a["a"], a["b"], a["z"], ctx=ctx)),
     "kummer_u": (("a", "b", "z"), (),
@@ -876,6 +877,8 @@ def _preset_acceptance(args) -> int:
     if golden_dir is None and os.path.isdir(os.path.join("tests", "golden")):
         golden_dir = os.path.join("tests", "golden")
     if golden_dir:
+        from .golden import compare_golden  # mpmath and every layer, only here
+
         bad = compare_golden(golden_dir)
         failures += bad
         print(f"[{'ok' if bad == 0 else f'FAIL({bad})':>8}] golden files "
@@ -934,6 +937,8 @@ def cmd_green(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_golden(args) -> int:
+    from .golden import GOLDEN_DIGITS, GROUPS, compare_golden, write_golden
+
     only = None
     if args.only:
         only = [g.strip() for g in args.only.split(",")]
@@ -1041,8 +1046,8 @@ def build_parser() -> argparse.ArgumentParser:
     pgold.add_argument("--check", default=None, metavar="DIR",
                        help="compare freshly computed values against DIR")
     pgold.add_argument("--only", default=None,
-                       help="comma-separated subset of groups "
-                            f"{', '.join(GROUPS)}")
+                       help="comma-separated subset of the groups; an unknown "
+                            "name lists them")
     pgold.set_defaults(func=cmd_golden)
     return parser
 

@@ -61,7 +61,8 @@ class CoincidentPoints(WhitaddError):
 
 
 class CoincidentRadii(WhitaddError):
-    """Partial-wave kernel requested at r = r0 where the theta-ordering is ambiguous."""
+    """Partial-wave kernel requested at coincident points (chord R ~ 0), where
+    the series diverges; equal radii at distinct points are admitted."""
 
 
 class PrecisionExhausted(WhitaddError):

@@ -50,6 +50,7 @@ import mpmath
 from .green import CoulombParams, SphericalPoint, angle_cosine, hostler_green, separation
 from .identities import (
     geometry_from,
+    hostler_bracket,
     verify_gamma_pi,
     verify_gamma_zero,
     verify_gegenbauer_addition,
@@ -246,12 +247,10 @@ _SPECIAL_CORE_CASES = (
     ("pochhammer_log_scaled", {"a": 40, "n": 290},
      lambda ctx: log_pochhammer(40, 290, ctx=ctx),
      lambda: mpmath.loggamma(330) - mpmath.loggamma(40), 0),
-    # Wronskian-like constant M W' - M' W of the (kappa, 1/2) pair
+    # Wronskian-like constant M W' - M' W of the (kappa, 1/2) pair: minus
+    # the Hostler bracket M'(y/2) W(x/2) - M(y/2) W'(x/2) at x = y
     ("whittaker_wronskian_constant", {"kappa": _KAP, "mu": 0.5, "x": _XX},
-     lambda ctx: (whittaker_m((_KAP, 0.5), _XX, ctx=ctx)
-                  * whittaker_w((_KAP, 0.5), _XX, deriv=True, ctx=ctx)
-                  - whittaker_m((_KAP, 0.5), _XX, deriv=True, ctx=ctx)
-                  * whittaker_w((_KAP, 0.5), _XX, ctx=ctx)),
+     lambda ctx: -hostler_bracket(_KAP, _XX, _XX, ctx),
      lambda: (mpmath.whitm(_KAP, 0.5, _XX) * _mp_whitw_prime(_KAP, 0.5, _XX)
               - _mp_whitm_prime(_KAP, 0.5, _XX) * mpmath.whitw(_KAP, 0.5, _XX)), 5),
 )

@@ -32,11 +32,11 @@ FOUR_PI = 4.0 * math.pi
 # are treated as coincident rather than evaluated
 COINCIDENCE_RTOL = 1e-14
 
-# Gauss-Laguerre nodes of the first estimate and the most the doubling may reach
+# Gauss-Laguerre nodes of the first estimate and the most the doubling may
+# reach, and the relative stability at which an estimate is accepted
 QUADRATURE_START_NODES = 32
 QUADRATURE_MAX_NODES = 2048
-# relative stability at which radial_norm accepts its quadrature
-RADIAL_NORM_TOL = 1e-10
+QUADRATURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,9 @@ def _laggauss(nodes: int):
     return laggauss(nodes)
 
 
-def gauss_laguerre_integral(fn, tol: float = 1e-10) -> float:
-    """integral_0^inf e^{-t} fn(t) dt with node doubling until stable.
+def gauss_laguerre_integral(fn) -> float:
+    """integral_0^inf e^{-t} fn(t) dt with node doubling until stable to
+    QUADRATURE_TOL.
 
     fn is called with the nodes as a numpy array and may return a sequence
     of values of the same length; a pointwise fallback is applied when it
@@ -287,12 +288,12 @@ def gauss_laguerre_integral(fn, tol: float = 1e-10) -> float:
         except (TypeError, ValueError):
             vals = np.array([fn(ti) for ti in t], dtype=float)
         est = float(w @ vals)
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
+        if prev is not None and abs(est - prev) <= QUADRATURE_TOL * max(1.0, abs(est)):
             return est
         prev = est
         nodes *= 2
     raise NoConvergence(
-        f"quadrature not stable to {tol} within {QUADRATURE_MAX_NODES} nodes")
+        f"quadrature not stable to {QUADRATURE_TOL} within {QUADRATURE_MAX_NODES} nodes")
 
 
 def radial_norm(n: int, g: float) -> float:
@@ -308,4 +309,4 @@ def radial_norm(n: int, g: float) -> float:
     def integrand(t):
         return [ti * ti * density_polynomial(n, ti) / (2.0 * n) for ti in t]
 
-    return gauss_laguerre_integral(integrand, tol=RADIAL_NORM_TOL)
+    return gauss_laguerre_integral(integrand)

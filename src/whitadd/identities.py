@@ -22,6 +22,8 @@ The identities covered, in the order they appear below:
 
 The addition theorem, the pi form and the two M-sums are cases of one
 general-mu series, whose terms ``_gegenbauer_terms`` yields for all four.
+Their Whittaker factors and the Bessel pairs climb one order ladder,
+``_mu_ladder``; extended terms run its steps on integers (``_fixed_ladder``).
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class GeometryConfig:
     y: object
     cos_gamma: object
 
-    def check(self, tol: float = 1e-14) -> None:
-        """Assert the defining relations to relative tolerance tol."""
+    def check(self) -> None:
+        """Assert the defining relations to relative tolerance 1e-14."""
+        tol = 1e-14
         scale = abs(float(self.x)) + abs(float(self.R))
         assert abs(float(self.R * self.R
                          - (self.r * self.r + self.r0 * self.r0
@@ -388,17 +391,9 @@ def _mu_ladder(kind: str, k, mu0, z, ctx):
     coefficients of the M recurrence a_l M_{l+1} = b_l M_l + c_l M_{l-1}.
     No M is evaluated directly from l_t on, and on hardware a run that
     leaves the double range underflows gradually, as the direct values do.
-    On an extended context the values are v_{l-1} rho_l with the ratios of
-    ``_fixed_ladder``, for ``_bessel_terms`` alone.  ``k``, ``mu0`` and
-    ``z`` are values of ``ctx``.
+    The extended partial-wave terms run the same steps on integers instead
+    (``_fixed_ladder``).  ``k``, ``mu0`` and ``z`` are values of ``ctx``.
     """
-    if ctx.kind == "hardware":
-        return _hardware_ladder(kind, k, mu0, z, ctx)
-    return _fixed_values(kind, k, mu0, z, ctx)
-
-
-def _hardware_ladder(kind: str, k, mu0, z, ctx):
-    """The hardware body of ``_mu_ladder``."""
     half = ctx.convert(1) / 2
     if kind == "W":
         guarded = _guarded_w_steps(k, mu0, ctx)
@@ -463,13 +458,6 @@ def _guarded_w_steps(k, mu0, ctx) -> set:
 # standing for (re + i im) / 2^wp; a real value has im = 0.  A floating one
 # is (re, im, s) for (re + i im) / 2^s, with the larger part kept at wp bits.
 
-def _ladder_precision(ctx, *zs) -> int:
-    """Fractional bits of the fixed-point ladders at the arguments zs:
-    ctx.prec + LADDER_GUARD_BITS + the bits of |z| away from 1."""
-    extra = max((abs(ctx.exponent(z)) for z in zs if z != 0), default=0)
-    return ctx.prec + LADDER_GUARD_BITS + extra
-
-
 def _pair(ctx, v, wp: int) -> tuple:
     re, im = ctx.fixed(v, wp)
     return re, im or 0
@@ -507,8 +495,8 @@ def _renormalize(re: int, im: int, s: int, wp: int) -> tuple:
 def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
     """(v_0, ratios): the value at mu0 of the M or W ladder of ``_mu_ladder``
     and an iterator of its ratios v_l/v_{l-1}, l = 1, 2, ..., as fixed-point
-    pairs with wp fractional bits, for an extended ctx (``_fixed_terms``,
-    ``_fixed_values``); k, mu0, z, nu and every coefficient may be complex.
+    pairs with wp fractional bits, for ``_fixed_terms`` on an extended ctx;
+    k, mu0, z, nu and every coefficient may be complex.
 
     The recurrences of ``_gegenbauer_terms`` run in ratio form with every
     coefficient divided by 2(2nu+1), nu = mu0+l-1/2:
@@ -642,24 +630,6 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
     return seed, m_ratios()
 
 
-def _fixed_values(kind: str, k, mu0, z, ctx):
-    """The extended body of ``_mu_ladder``, for the Bessel sums: v_0, then
-    v_{l-1} rho_l with the ratios of ``_fixed_ladder``, product on integers."""
-    wp = _ladder_precision(ctx, z)
-    v, ratios = _fixed_ladder(kind, k, mu0, z, ctx, wp)
-    yield v
-    real = _is_real(k, mu0, z)
-    vr, vi, s = _floating(ctx, v, wp)
-    for rr, ri in ratios:
-        vr, vi, s = _renormalize(vr * rr - vi * ri, vr * ri + vi * rr, s + wp, wp)
-        yield ctx.from_fixed(vr, None if real else vi, s)
-
-
-def _is_real(*values) -> bool:
-    """True when no value is an mpmath complex."""
-    return all(getattr(v, "_mpc_", None) is None for v in values)
-
-
 def _gegenbauer_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
     """Yield scale c_l M_{k,mu+l}(z_m) W_{k,mu+l}(z_w) C_l^{(mu)}(x) for
     l = first, first+1, ..., without W when z_w is None, where c_l =
@@ -719,14 +689,15 @@ def _fixed_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
     coefficient step; C runs on pairs beside it.  No factor is formed alone,
     and one rounding to the context is made per term."""
     zs = (z_m,) if z_w is None else (z_m, z_w)
-    wp = _ladder_precision(ctx, *zs)
+    # the ladder precision: LADDER_GUARD_BITS and the bits of |z| away from 1
+    wp = ctx.prec + LADDER_GUARD_BITS + max(abs(ctx.exponent(z)) for z in zs)
     one = 1 << wp
     mu0 = mu + first
     m, rhos = _fixed_ladder("M", k, mu0, z_m, ctx, wp)
     w, sigmas = ((1, itertools.repeat((one, 0))) if z_w is None
                  else _fixed_ladder("W", k, mu0, z_w, ctx, wp))
     tr, ti, s = _floating(ctx, scale * m * w, wp)
-    real = _is_real(scale, k, mu, *zs)
+    real = all(getattr(v, "_mpc_", None) is None for v in (scale, k, mu, *zs))
     kr, ki = _pair(ctx, k, wp)
     mr, mi = _pair(ctx, mu, wp)
     xr = _pair(ctx, x, wp)[0]
@@ -926,9 +897,10 @@ def _bessel_terms(nu0, v, u, weights, ctx):
     """Yield w_n I_{nu0+n}(v) K_{nu0+n}(u), n = 0, 1, ..., with w_n from
     ``weights``.  The Bessel pair is the Whittaker pair at kappa = 0 (DLMF
     §13.18(iii)): I_nu(v) = M_{0,nu}(2v)/(4^nu Gamma(nu+1) sqrt(2v)) and
-    K_nu(u) = sqrt(pi/(2u)) W_{0,nu}(2u), so both come from ``_mu_ladder``.
-    I runs by its ratio I_n = I_{n-1} (M_n/M_{n-1})/(4(nu0+n)), so 1/(4^n n!)
-    is never formed alone.  ``nu0``, ``v`` and ``u`` are values of ``ctx``.
+    K_nu(u) = sqrt(pi/(2u)) W_{0,nu}(2u), so both come from ``_mu_ladder``,
+    in the arithmetic of ctx at every precision.  I runs by its ratio
+    I_n = I_{n-1} (M_n/M_{n-1})/(4(nu0+n)), so 1/(4^n n!) is never formed
+    alone.  ``nu0``, ``v`` and ``u`` are values of ``ctx``.
     """
     zero = ctx.convert(0)
     ms = _mu_ladder("M", zero, nu0, 2 * v, ctx)

@@ -17,7 +17,9 @@ body for the hardware context and one fixed-point body for extended
 contexts, where values are Python integers scaled by 2^wp (complex values
 as pairs) and wp is the context's working precision ``ctx.prec`` (raised
 inside ``extra_digits``) plus guard bits, the technique of mpmath's
-``hypsum`` [J]. A fixed-point loop stops once its terms fall below the
+``hypsum`` [J].  The float body of the terminating polynomial runs its
+three-term recurrence in the degree instead, since its terms cancel for
+z > 0.  A fixed-point loop stops once its terms fall below the
 working precision relative to its sum, never at the context's base
 ``eps``. It tracks its peak term and the bits of its sum; when
 cancellation leaves fewer than ``ctx.prec`` bits it is summed again with
@@ -30,7 +32,7 @@ References
 .. [AS] Abramowitz & Stegun, Handbook of Mathematical Functions, ch. 13
         (13.1.2, 13.1.3, 13.1.6, 13.4.21, 13.5.1, 13.5.2).
 .. [DLMF] NIST Digital Library of Mathematical Functions, ch. 13, 13.2.9,
-        13.7.3, 18.9.
+        13.3.1, 13.7.3, 18.9.
 .. [J] F. Johansson, Computing hypergeometric functions rigorously,
        ACM Trans. Math. Software 45 (2019) 30.
 """
@@ -266,21 +268,28 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 # ---------------------------------------------------------------------------
 
 def _hyp1f1_poly(m: int, b, z, ctx):
-    """Terminating 1F1(-m; b; z); needs (b)_k != 0 only for k < m."""
+    """Terminating 1F1(-m; b; z); needs (b)_k != 0 only for k < m.
+
+    On hardware p_k = 1F1(-k; b; z) = k!/(b)_k L_k^{(b-1)}(z) runs up the
+    contiguous relation in a (DLMF 13.3.1), the Laguerre recurrence
+    normalized as it goes,
+
+        p_{k+1} = ((2k + b - z) p_k - k p_{k-1}) / (b + k),   p_0 = 1,
+
+    since a sum of the terms cancels for z > 0 (by 22% at 1F1(-40; 2; 20)).
+    """
     if m == 0:  # the fixed-point body would charge a zero b's bits as lost
         return ctx.convert(1)
     if ctx.kind != "hardware":
         return _fixed_point(_hyp1f1_fixed, (ctx.convert(-m), b, z, m, True), ctx)
-    term = ctx.convert(1)
-    total = term
+    prev, p = 0, ctx.convert(1)
     for k in range(m):
         den = b + k
         if den == 0:
             raise PoleAtNonpositiveB(
                 f"terminating 1F1(-{m}; {b}; z) hits a zero denominator at k={k}")
-        term = term * (k - m) * z / (den * (k + 1))
-        total = total + term
-    return total
+        prev, p = p, ((2 * k + b - z) * p - k * prev) / den
+    return p
 
 
 def _hyp1f1_series(a, b, z, ctx):
@@ -549,7 +558,12 @@ def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
     if big_n:
         pre1 = ctx.exp(-ctx.loggamma(a - n) - ctx.loggamma(n + 1))
     else:
-        pre1 = ctx.rgamma(a - n) / math.factorial(n)
+        # 1/Gamma(a-n) = (a-1)(a-2)...(a-n)/Gamma(a): near a pole of Gamma it
+        # is proportional to the a that a - n would round away
+        rga = pre1 = ctx.rgamma(a)
+        for j in range(1, n + 1):
+            pre1 = pre1 * (a - j)
+        pre1 = pre1 / math.factorial(n)
     parts = (sign * pre1 * total,)
 
     if n > 0:
@@ -561,7 +575,7 @@ def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
         if big_n:
             pre2 = ctx.exp(ctx.loggamma(n) - ctx.loggamma(a) - n * lnz)
         else:
-            pre2 = math.factorial(n - 1) * ctx.rgamma(a) * ctx.power(z, -n)
+            pre2 = math.factorial(n - 1) * rga * ctx.power(z, -n)
         parts += (pre2 * fsum,)
     if big_n and not isinstance(a, complex):
         # loggamma of negative reals walks through the complex plane; the
@@ -695,8 +709,7 @@ def whittaker_with_derivative(kind: str, order, r, ctx=None):
         M' = (-1/2 + (mu+1/2)/r) M + (a/b) e^{-r/2} r^{mu+1/2} 1F1(a+1;b+1;r)
         W' = (-1/2 + (mu+1/2)/r) W - a e^{-r/2} r^{mu+1/2} U(a+1,b+1,r)
 
-    never finite differences; ``whittaker_m`` and ``whittaker_w`` with
-    ``deriv=True`` return the second element.
+    never finite differences.  It is the one derivative entry point.
     """
     ctx, mu, half, a, b, r, prefactor = _whittaker_parts(kind, order, r, ctx)
     if kind == "M":
@@ -708,30 +721,26 @@ def whittaker_with_derivative(kind: str, order, r, ctx=None):
     return prefactor * f, (-half + (mu + half) / r) * prefactor * f + prefactor * df
 
 
-def whittaker_m(order, r, deriv: bool = False, ctx=None):
+def whittaker_m(order, r, ctx=None):
     """Whittaker function M_{kappa,mu}(r) = e^{-r/2} r^{mu+1/2} 1F1(a;b;r),
-    with a = mu - kappa + 1/2, b = 2 mu + 1, or its first r-derivative (see
-    ``whittaker_with_derivative``).
+    with a = mu - kappa + 1/2, b = 2 mu + 1; ``whittaker_with_derivative``
+    adds the first r-derivative.
 
     Complex r is accepted on the principal branch of r^{mu+1/2}
     (single-valued whenever 2mu+1 is a positive integer, which is the only
     complex-argument use in this package).
     """
-    if deriv:
-        return whittaker_with_derivative("M", order, r, ctx)[1]
     ctx, _, _, a, b, r, prefactor = _whittaker_parts("M", order, r, ctx)
     return prefactor * kummer_m(a, b, r, ctx)
 
 
-def whittaker_w(order, r, deriv: bool = False, ctx=None):
+def whittaker_w(order, r, ctx=None):
     """Whittaker function W_{kappa,mu}(r) = e^{-r/2} r^{mu+1/2} U(a,b,r) for
-    real r > 0, or its first r-derivative (see ``whittaker_with_derivative``).
+    real r > 0; ``whittaker_with_derivative`` adds the first r-derivative.
 
     mu = l + 1/2 makes b = 2l + 2 a positive integer and routes U through its
     logarithmic case.
     """
-    if deriv:
-        return whittaker_with_derivative("W", order, r, ctx)[1]
     ctx, _, _, a, b, r, prefactor = _whittaker_parts("W", order, r, ctx)
     return prefactor * kummer_u(a, b, r, ctx)
 

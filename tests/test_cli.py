@@ -20,7 +20,8 @@ from whitadd.golden import GROUPS
 from whitadd.green import (CoulombParams, SphericalPoint, diagonal_density, hostler_green,
                            partial_wave_green, projection_kernel, radial_distribution)
 from whitadd.special_core import (bessel_modified, gegenbauer_c, kummer_m, kummer_u, laguerre,
-                                  legendre_p, spherical_harmonic, whittaker_m, whittaker_w)
+                                  legendre_p, spherical_harmonic, whittaker_m,
+                                  whittaker_with_derivative)
 from whitadd.summation import SeriesOptions
 
 pytestmark = pytest.mark.usefixtures("no_env_digits")
@@ -108,7 +109,7 @@ _POINTS = "--g 1 --k 0.7 --p 2,1.1,0.7 --p0 1,2,4"
 EVAL_CASES = {
     "whittaker_m": ("--kappa 0.3 --mu 0.5 --r 2", lambda: whittaker_m((0.3, 0.5), 2)),
     "whittaker_w": ("--kappa 0.3 --mu 1.5 --r 3 --deriv",
-                    lambda: whittaker_w((0.3, 1.5), 3, deriv=True)),
+                    lambda: whittaker_with_derivative("W", (0.3, 1.5), 3)[1]),
     "kummer_m": ("--a 0.5 --b 1.5 --z 2", lambda: kummer_m(0.5, 1.5, 2)),
     "kummer_u": ("--a 0.5 --b 1.5 --z 2", lambda: kummer_u(0.5, 1.5, 2)),
     "legendre": ("--l 3 --m 1 --x 0.5", lambda: legendre_p(3, 1, 0.5)),

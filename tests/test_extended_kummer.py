@@ -194,6 +194,8 @@ def test_extended_kummer_m_keeps_50_digits(a, b, z):
 @example(a=8.0 + 2.0j, b=0.7, z=30.0)
 @example(a=7.555740879603491, b=2.0218545499464087, z=25.956824643626646)
 @example(a=8.0, b=8.0, z=30.0)
+# the log case formed a - 1 at the working precision, leaving 3.6e-14
+@example(a=5.014099354713429e-49, b=2.0, z=1.0)
 def test_extended_kummer_u_keeps_50_digits(a, b, z):
     _check_50_digits(kummer_u, mpmath.hyperu, a, b, z)
 

@@ -116,7 +116,7 @@ def test_radial_norm_by_quadrature():
             [float(laguerre(n - l - 1, 2 * l + 1, ti)) for ti in t])
         return poly * poly * r * r * (n / g)
 
-    assert gauss_laguerre_integral(radial_sq, tol=1e-12) == pytest.approx(1.0, abs=1e-10)
+    assert gauss_laguerre_integral(radial_sq) == pytest.approx(1.0, abs=1e-10)
 
 
 # --- compact two-point form -----------------------------------------------------

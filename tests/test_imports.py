@@ -126,6 +126,19 @@ print(whitadd.kummer_m(0.5, 1.5, 2.0) > 0)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "whitadd"))
 """
 
+# ``python -m whitadd.cli eval kummer_m ...`` in this process, its output kept
+CLI_PROBE = """
+import contextlib, io, runpy, sys
+sys.argv = ["whitadd", "eval", "kummer_m", "--a", "0.5", "--b", "1.5", "--z", "2"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        runpy.run_module("whitadd.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        status = exc.code
+print(status == 0 and "kummer_m" in out.getvalue())
+print(sorted(name for name in ("scipy", "numpy", "mpmath") if name in sys.modules))
+"""
+
 # every name that ``import whitadd`` bound before the front became lazy
 PUBLIC = {
     "errors": """CoincidentPoints CoincidentRadii DerivativeStepUnderflow GeometryViolation
@@ -134,7 +147,7 @@ PUBLIC = {
     "scalar": "HARDWARE ExtendedContext HardwareContext extended resolve",
     "special_core": """bessel_modified binomial density_polynomial gegenbauer_c kummer_m
         kummer_u laguerre laguerre_bracket legendre_p log_pochhammer pochhammer
-        spherical_harmonic whittaker_m whittaker_w""",
+        spherical_harmonic whittaker_m whittaker_w whittaker_with_derivative""",
     "summation": """DEFAULT_MAX_TERMS SeriesOptions SeriesOutcome exact_rational_sum
         mu_large_term_surrogate sum_series""",
     "identities": """ExactReport GeometryConfig IdentityReport coefficient_delta_sum
@@ -182,6 +195,12 @@ def test_hardware_kummer_call_loads_only_the_layers_below_it():
     modules = ["whitadd"] + [f"whitadd.{m}" for m in ("errors", "gammafn", "scalar",
                                                       "special_core")]
     assert _fresh(KUMMER_PROBE) == ["True", str(sorted(modules))]
+
+
+def test_hardware_cli_eval_loads_no_mpmath():
+    # golden, whose oracles need mpmath, loads only for the golden command
+    # and the acceptance preset's golden row
+    assert _fresh(CLI_PROBE) == ["True", "[]"]
 
 
 def test_every_public_name_and_submodule_resolves_on_the_package():

@@ -200,9 +200,9 @@ def test_work_per_point(monkeypatch):
 
     direct_orders = []
 
-    def whittaker_m_counted(order, r, deriv=False, ctx=None):
+    def whittaker_m_counted(order, r, ctx=None):
         direct_orders.append(order[1])
-        return whittaker_m(order, r, deriv=deriv, ctx=ctx)
+        return whittaker_m(order, r, ctx=ctx)
 
     monkeypatch.setattr(identities, "whittaker_m", whittaker_m_counted)
     for g, k, r, r0 in ((1.0, 0.8, 3.0, 1.2), (0.3, 2.4, 7.5, 5.1), (2.2, 0.35, 0.9, 0.4)):
@@ -269,6 +269,24 @@ TERM_RADII = ((1e-3, 0.5), (1.5, 4.0), (2.9, 3.1))
 TERM_COSINES = (-1.0, 0.3, 1.0)
 TERM_ORDERS = 60
 
+# (kappa, mu values, (r0, r) pairs, with W or not): the generic grid, then
+# the cases where the integer ladders take their special steps, each at one mu
+# and one pair.  a' vanishes at kappa = mu + j + 1/2, and the coefficients
+# with it from order j + 1 on: at r0 = 3 (l_t = 2) j = 5 and 6 lie inside the
+# first run of M ratios; at r0 = 0.2 (l_t = 1) j = M_RATIO_RUN is the top of
+# that run, where the continued fraction starts, and j = M_RATIO_RUN + 1 its
+# next partial numerator.  Below order j W is then the recessive solution, and
+# at r = 0.5 with j = 32 no forward run can follow it: those two go without W.
+# Near kappa = mu + l + 1/2 the forward W step divides by almost zero and is
+# taken directly; 1e-15 from it the recurrence would lose 15 of the ladder's
+# digits
+BOTH = (True, False)
+TERM_CASES = [(kappa, TERM_MUS, TERM_RADII, BOTH) for kappa in TERM_KAPPAS] + [
+    (6, (0.5,), ((3.0, 3.5),), BOTH), (7.25, (0.75,), ((3.0, 3.5),), BOTH),
+    (identities.M_RATIO_RUN + 1, (0.5,), ((0.2, 0.5),), (False,)),
+    (identities.M_RATIO_RUN + 2, (0.5,), ((0.2, 0.5),), (False,)),
+    (2 + 1.1e-3, (0.5,), ((1.4, 3.0),), BOTH), (3 + 1e-15, (0.5,), ((1.4, 3.0),), BOTH)]
+
 
 @pytest.fixture(scope="module")
 def term_factors():
@@ -277,18 +295,29 @@ def term_factors():
     whitw costs about 30 ms a call at these orders, so W is mpmath's whitw at
     l = 0 and 1 carried up by its forward recurrence at 120 digits (the
     dominant direction, where the extra digits are not needed but cost
-    nothing), and held to whitw at two higher orders below."""
+    nothing), and held to whitw at two higher orders below; None for the
+    cases without W."""
     refs = {}
-    for kappa, mu, (r0, r) in itertools.product(TERM_KAPPAS, TERM_MUS, TERM_RADII):
+    cases = ((kappa, mu, radii, with_ws) for kappa, mus, pairs, with_ws in TERM_CASES
+             for mu, radii in itertools.product(mus, pairs))
+    for kappa, mu, (r0, r), with_ws in cases:
+        with mpmath.workdps(60):
+            k, m = mpmath.mpmathify(kappa), mpmath.mpmathify(mu)
+            mv = [mpmath.whitm(k, m + ell, r0) for ell in range(TERM_ORDERS)]
+        refs[kappa, mu, r0, r] = (mv, None)
+        if True not in with_ws:
+            continue
         with mpmath.workdps(120):
             k, m, z = mpmath.mpmathify(kappa), mpmath.mpmathify(mu), mpmath.mpf(r)
             w = [mpmath.whitw(k, m, z), mpmath.whitw(k, m + 1, z)]
             for ell in range(1, TERM_ORDERS):
                 nu = m + ell - mpmath.mpf(1) / 2
+                if nu + 1 == k:  # the step's divisor vanishes
+                    w.append(mpmath.whitw(k, nu + mpmath.mpf(3) / 2, z))
+                    continue
                 w.append(((2 * nu + 1) * (2 * nu * (nu + 1) / z - k) * w[ell]
                           + (nu + 1) * (nu + k) * w[ell - 1]) / (nu * (nu + 1 - k)))
         with mpmath.workdps(60):
-            mv = [mpmath.whitm(k, m + ell, r0) for ell in range(TERM_ORDERS)]
             for ell in (TERM_ORDERS // 2, TERM_ORDERS - 1):
                 direct = mpmath.whitw(k, m + ell, z)
                 assert abs(w[ell] - direct) <= 1e-55 * abs(direct), (kappa, mu, r, ell)
@@ -302,26 +331,29 @@ def gegenbauer_values():
     with mpmath.workdps(60):
         return {(mu, x): [mpmath.gegenbauer(ell, mpmath.mpmathify(mu), x)
                           for ell in range(TERM_ORDERS)]
-                for mu, x in itertools.product(TERM_MUS, TERM_COSINES)}
+                for mu, x in itertools.product({mu for case in TERM_CASES for mu in case[1]},
+                                               TERM_COSINES)}
 
 
-@pytest.mark.parametrize("kappa", TERM_KAPPAS)
-def test_extended_addition_terms_match_per_order_products(kappa, term_factors,
-                                                          gegenbauer_values):
+@pytest.mark.parametrize("kappa, mus, radii, with_ws", TERM_CASES,
+                         ids=[str(case[0]) for case in TERM_CASES])
+def test_extended_addition_terms_match_per_order_products(kappa, mus, radii, with_ws,
+                                                          term_factors, gegenbauer_values):
     # (1/(r r0)) (mu+first-k+1/2)_{l-first}/(2mu)_{2l} M_{k,mu+l}(r0)
     # W_{k,mu+l}(r) C_l^{(mu)}(x), every factor from mpmath per order, against
     # the integer-built terms, with and without W; mu = 1/2 is the addition
-    # theorem, x = +-1 the pi form
+    # theorem, x = +-1 the pi form.  A vanishing coefficient must give an
+    # exact zero
     ctx = extended(50)
     with mpmath.workdps(60):
         k, half = mpmath.mpmathify(kappa), mpmath.mpf(1) / 2
         coeffs = {}
-        for mu, first in itertools.product(TERM_MUS, (0, 1, 2)):
+        for mu, first in itertools.product(mus, (0, 1, 2)):
             m = mpmath.mpmathify(mu)
             coeffs[mu, first] = [
                 mpmath.rf(m + first - k + half, ell - first) / mpmath.rf(2 * m, 2 * ell)
                 for ell in range(TERM_ORDERS)]
-    cases = itertools.product(TERM_MUS, (True, False), (0, 1, 2), TERM_COSINES, TERM_RADII)
+    cases = itertools.product(mus, with_ws, (0, 1, 2), TERM_COSINES, radii)
     for mu, with_w, first, x, (r0, r) in cases:
         scale = 1 / (ctx.convert(r) * ctx.convert(r0))
         terms = identities._gegenbauer_terms(
@@ -333,7 +365,8 @@ def test_extended_addition_terms_match_per_order_products(kappa, term_factors,
             for ell, value in enumerate(got, start=first):
                 ref = (coeffs[mu, first][ell] / r / r0 * mv[ell] * gegenbauer_values[mu, x][ell]
                        * (wv[ell] if with_w else 1))
-                assert _gap(value, ref) < 1e-48, (mu, with_w, first, x, r0, r, ell)
+                assert value == 0 if ref == 0 else _gap(value, ref) < 1e-48, (
+                    mu, with_w, first, x, r0, r, ell)
 
 
 @pytest.mark.parametrize("kappa", (0.3, complex(0.4, -0.9)))

@@ -17,6 +17,7 @@ from whitadd.errors import (
     PoleHit,
     UnsupportedOrder,
     UnsupportedRegion,
+    WhitaddError,
 )
 from whitadd.scalar import HARDWARE, extended
 from whitadd.special_core import (
@@ -33,6 +34,7 @@ from whitadd.special_core import (
     spherical_harmonic,
     whittaker_m,
     whittaker_w,
+    whittaker_with_derivative,
 )
 
 
@@ -213,6 +215,28 @@ def test_kummer_m_matches_scipy(a, b, z):
     assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=0, max_value=40),
+       b=st.floats(min_value=0.01, max_value=25, exclude_min=True),
+       z=st.floats(min_value=-60, max_value=60))
+def test_terminating_kummer_matches_mpmath(m, b, z):
+    # 1F1(-m; b; z) and U(-m, b, z) = (-1)^m (b)_m 1F1(-m; b; z) (DLMF
+    # 13.2.7) on hardware, U for z > 0 only.  Summed term by term, the
+    # polynomial cancels for z > 0: 1F1(-40; 2; 20), so M_{41,1/2}(20), came
+    # out 22% off.  mpmath returns an exact zero of the polynomial (z = b at
+    # m = 1) as 0 instead of failing to converge
+    with mpmath.workdps(40):
+        poly = mpmath.hyp1f1(-m, b, z, zeroprec=mpmath.mp.prec * 4)
+        cases = [(kummer_m, poly)] + ([(kummer_u, (-1) ** m * mpmath.rf(b, m) * poly)]
+                                      if z > 0 else [])
+    for fn, want in cases:
+        try:
+            got = fn(-m, b, z)
+        except WhitaddError:
+            continue
+        assert abs(got - want) <= 1e-8 * abs(want), f"{fn.__name__}({-m}, {b!r}, {z!r})"
+
+
 def test_kummer_u_values(golden):
     z = 1.3
     assert_rel(kummer_u(1, 1, z), math.exp(z) * sp.exp1(z), 1e-12)
@@ -226,6 +250,10 @@ def test_kummer_u_values(golden):
     assert_rel(kummer_u(1.2, 0.7, 40.0), sp.hyperu(1.2, 0.7, 40.0), 1e-11)
     # polynomial case a = -n
     assert_rel(kummer_u(-2, 0.8, 1.1), sp.hyperu(-2, 0.8, 1.1), 1e-13)
+    # log case at tiny a: 1/Gamma(a-1) is proportional to the a that a - 1
+    # rounds away, and was off by 5e-9 here
+    with mpmath.workdps(40):
+        assert_rel(kummer_u(1e-8, 2, 1.0), mpmath.hyperu(mpmath.mpf(1e-8), 2, 1), 1e-14)
 
 
 @pytest.mark.parametrize("ctx, tol", [(None, 1e-11), (extended(40), 1e-38)],
@@ -273,9 +301,9 @@ def test_whittaker_closed_forms():
     x = 2.7
     assert_rel(whittaker_w((0, 0.5), x), math.exp(-x / 2), 1e-13)
     assert_rel(whittaker_m((0, 0.5), x), 2 * math.sinh(x / 2), 1e-13)
-    # derivative flag returns d/dx of the same closed forms
-    assert_rel(whittaker_w((0, 0.5), x, deriv=True), -0.5 * math.exp(-x / 2), 1e-12)
-    assert_rel(whittaker_m((0, 0.5), x, deriv=True), math.cosh(x / 2), 1e-12)
+    # the derivative entry point returns d/dx of the same closed forms
+    assert_rel(whittaker_with_derivative("W", (0, 0.5), x)[1], -0.5 * math.exp(-x / 2), 1e-12)
+    assert_rel(whittaker_with_derivative("M", (0, 0.5), x)[1], math.cosh(x / 2), 1e-12)
 
 
 def test_whittaker_large_order_matches_golden(golden):
@@ -289,9 +317,9 @@ def test_whittaker_wronskian_constant(golden):
     kappa, mu = -0.7, 0.5
     values = []
     for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-        w = (whittaker_m((kappa, mu), x) * whittaker_w((kappa, mu), x, deriv=True)
-             - whittaker_m((kappa, mu), x, deriv=True) * whittaker_w((kappa, mu), x))
-        values.append(w)
+        m, dm = whittaker_with_derivative("M", (kappa, mu), x)
+        w, dw = whittaker_with_derivative("W", (kappa, mu), x)
+        values.append(m * dw - dm * w)
     for v in values:
         assert rel(v, values[0]) < 1e-9
     assert_rel(values[2], want, 1e-9, "wronskian")
@@ -304,7 +332,8 @@ def test_whittaker_complex_kappa():
     assert isinstance(v, complex) and abs(v) > 0
     m = whittaker_m((kappa, mu), 2.5)
     # both solve the same ODE; the Wronskian pins the joint normalization
-    wr = m * whittaker_w((kappa, mu), 2.5, deriv=True) - whittaker_m((kappa, mu), 2.5, deriv=True) * v
+    wr = (m * whittaker_with_derivative("W", (kappa, mu), 2.5)[1]
+          - whittaker_with_derivative("M", (kappa, mu), 2.5)[1] * v)
     want = -complex(sp.gamma(2 * mu + 1)) / complex(sp.gamma(mu - kappa + 0.5))
     assert_rel(wr, want, 1e-10)
 
