@@ -29,7 +29,7 @@ _EXPORTS = {
     "gammafn": "",
     "scalar": "HARDWARE ExtendedContext HardwareContext extended resolve",
     "special_core": """bessel_modified binomial density_polynomial gegenbauer_c kummer_m
-        kummer_u laguerre laguerre_bracket legendre_p log_pochhammer pochhammer
+        kummer_pair kummer_u laguerre laguerre_bracket legendre_p log_pochhammer pochhammer
         spherical_harmonic whittaker_m whittaker_w whittaker_with_derivative""",
     "summation": """DEFAULT_MAX_TERMS SeriesOptions SeriesOutcome exact_rational_sum
         mu_large_term_surrogate sum_series""",

@@ -370,10 +370,20 @@ def cloggamma(z: complex) -> complex:
         d = complex(2.0 * s * s - math.expm1(a) * math.cos(b), -math.exp(a) * math.sin(b))
         return (complex(_LOG2PI - _PI * z.imag, _PI * (z.real - 0.5))
                 - cmath.log(d) - cloggamma(1.0 - z))
-    shift = 0j
-    w = z
-    while w.real < 0.5 or abs(w) < 10.0:
-        shift += cmath.log(w)
+    if abs(z - 1.0) <= 0.2:
+        return _taylor1(z - 1.0)
+    if abs(z - 2.0) <= 0.2:
+        # log Gamma(z) = Log(z - 1) + log Gamma(z - 1), Log accurate near 1
+        return cmath.log(z - 1.0) + _taylor1(z - 2.0)
+    # log Gamma(z) = log Gamma(z + n) - Log(z (z+1) ... (z+n-1)) with Re(z + n)
+    # > 7, as scipy does: one Log of the product, whose argument grows by
+    # less than pi a factor on Im z >= 0, so each turn of its imaginary part
+    # from >= 0 to < 0 is one more 2 pi the principal Log leaves out
+    w, prod, turns = z, 1.0 + 0j, 0
+    while w.real <= 7.0 and w.imag <= 7.0:
+        below = prod.imag < 0.0
+        prod *= w
+        turns += prod.imag < 0.0 and not below
         w += 1.0
     r = 1.0 / w
     r2 = r * r
@@ -382,7 +392,29 @@ def cloggamma(z: complex) -> complex:
         7.9365079365079365e-04 + r2 * (-5.9523809523809524e-04 + r2 * (
             8.4175084175084175e-04 + r2 * (-1.9175269175269175e-03 + r2 * (
                 6.4102564102564103e-03 + r2 * -2.9550653594771242e-02)))))))
-    return (w - 0.5) * cmath.log(w) - w + _LS2PI + series - shift
+    stirling = (w - 0.5) * cmath.log(w) - w + _LS2PI + series
+    if w is z:
+        return stirling
+    return stirling - cmath.log(prod) - complex(0.0, 2.0 * _PI * turns)
+
+
+# log Gamma(1 + w) = -gamma w + sum_{k>=2} (-1)^k zeta(k) w^k / k [DLMF 5.7.3],
+# the factors of w^23 down to w^1; |w| <= 0.2 leaves a tail below 4e-18
+_TAYLOR1 = (
+    -0.04347826605304026, 0.04545455629320467, -0.047619070330142226, 0.05000004769810169,
+    -0.05263167937961666, 0.055555767627403614, -0.058823978658684585, 0.06250095514121304,
+    -0.06666870588242046, 0.07143294629536133, -0.0769325164113522, 0.083353840546109,
+    -0.09095401714582904, 0.1000994575127818, -0.11133426586956469, 0.12550966952474304,
+    -0.1440498967688461, 0.1695571769974082, -0.20738555102867398, 0.27058080842778454,
+    -0.40068563438653143, 0.8224670334241132, -0.5772156649015329)
+
+
+def _taylor1(w: complex) -> complex:
+    """log Gamma(1 + w) for |w| <= 0.2, where it nears its zero at w = 0."""
+    acc = 0j
+    for c in _TAYLOR1:
+        acc = acc * w + c
+    return acc * w
 
 
 def _cexp(w: complex) -> complex:

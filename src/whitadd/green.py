@@ -11,7 +11,6 @@ integrand appearing here is a polynomial against the e^{-t} weight, so the
 doubling terminates almost immediately.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,6 @@ from .identities import (KAPPA_GUARD, addition_terms, geometry_from_cosine,
 from .scalar import resolve
 from .special_core import density_polynomial, laguerre, laguerre_bracket, spherical_harmonic
 from .summation import SeriesOptions, SeriesOutcome, context_for, sum_series
-
-logger = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * math.pi
 # the kernel diverges like 1/R; separations below this relative threshold

@@ -23,7 +23,10 @@ The identities covered, in the order they appear below:
 The addition theorem, the pi form and the two M-sums are cases of one
 general-mu series, whose terms ``_gegenbauer_terms`` yields for all four.
 Their Whittaker factors and the Bessel pairs climb one order ladder,
-``_mu_ladder``; extended terms run its steps on integers (``_fixed_ladder``).
+``_mu_ladder``; extended terms run its steps on integers (``_fixed_ladder``),
+without the zero imaginary halves when every input is real, and take the two
+W seeds from one Kummer pair.  The Hostler bracket takes (M, M') and (W, W')
+from one pair each.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .special_core import (
     spherical_harmonic,
     whittaker_m,
     whittaker_w,
+    whittaker_w_seeds,
     whittaker_with_derivative,
 )
 from .summation import (
@@ -103,6 +107,12 @@ LADDER_GUARD_BITS = 32
 # the continued fraction of an M ratio stops once a step changes it by at
 # most 2^-(ctx.prec + CF_TOL_BITS)
 CF_TOL_BITS = 12
+
+# bits above the working precision at which the extended W ladder takes its
+# two seeds from one Kummer pair; W_1/W_0 = 1 + s is used while 1 + s
+# cancels at most W_SEED_GUARD_BITS - 4 of them, so that it keeps the
+# working precision and more
+W_SEED_GUARD_BITS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +506,9 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
     """(v_0, ratios): the value at mu0 of the M or W ladder of ``_mu_ladder``
     and an iterator of its ratios v_l/v_{l-1}, l = 1, 2, ..., as fixed-point
     pairs with wp fractional bits, for ``_fixed_terms`` on an extended ctx;
-    k, mu0, z, nu and every coefficient may be complex.
+    k, mu0, z, nu and every coefficient may be complex.  When k, mu0 and z
+    are real every step drops the zero imaginary halves, with the same
+    integers as the complex step.
 
     The recurrences of ``_gegenbauer_terms`` run in ratio form with every
     coefficient divided by 2(2nu+1), nu = mu0+l-1/2:
@@ -514,10 +526,14 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
                       / (nu(nu+1-k)),
 
     except at a step of ``_guarded_w_steps``, where W_{l+1} is evaluated
-    directly and divided by the running product W_l.
+    directly and divided by the running product W_l.  The W seeds are one
+    Kummer pair (``whittaker_w_seeds``) at W_SEED_GUARD_BITS above the
+    working precision: W_0 and sigma_1 = 1 + s.  Where 1 + s cancels more
+    than W_SEED_GUARD_BITS - 4 of them (complex k), W_1 is evaluated
+    directly instead.
     """
-    seed = (whittaker_w if kind == "W" else whittaker_m)((k, mu0), z, ctx=ctx)
     one = 1 << wp
+    real = all(getattr(v, "_mpc_", None) is None for v in (k, mu0, z))
     kr, ki = _pair(ctx, k, wp)
     # nu_l = nu0 + l + i ni: only the real part moves with the order
     nu0, ni = _pair(ctx, mu0, wp)
@@ -527,37 +543,48 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
 
     if kind == "W":
         guarded = _guarded_w_steps(k, mu0, ctx)
+        with ctx.workprec(ctx.prec + W_SEED_GUARD_BITS):
+            seed, step = whittaker_w_seeds((k, mu0), z, ctx)
 
         def w_ratios():
-            w1 = whittaker_w((k, mu0 + 1), z, ctx=ctx)
-            sr, si = _fixed_quotient(ctx, w1, seed, wp)
+            qr, qi = _pair(ctx, step, wp)
+            sr, si = one + qr, qi
+            if ((abs(qr) | abs(qi)).bit_length() - (abs(sr) | abs(si)).bit_length()
+                    > W_SEED_GUARD_BITS - 4):
+                sr, si = _fixed_quotient(ctx, whittaker_w((k, mu0 + 1), z, ctx=ctx), seed, wp)
             # W_l as a floating product, needed only at a guarded step
-            wr, wi, ws = _floating(ctx, w1, wp) if guarded else (0, 0, 0)
+            wr, wi, ws = _floating(ctx, seed, wp) if guarded else (0, 0, 0)
             for ell in itertools.count(1):
-                yield sr, si
-                if ell in guarded:
-                    nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
-                    sr, si = _fixed_quotient(
-                        ctx, nxt, ctx.from_fixed(wr, wi, ws), wp)
-                else:
-                    n = nu0 + ell * one
-                    n1 = n + one
-                    tr, ti = 2 * (n * n1 - ni * ni) >> wp, 2 * ni * (n + n1) >> wp
-                    ur = (tr * izr - ti * izi >> wp) - kr
-                    ui = (tr * izi + ti * izr >> wp) - ki
-                    mr, mi = 2 * n + one, 2 * ni
-                    pr, pi = n + kr, ni + ki
-                    qr, qi = _cdiv(n1 * pr - ni * pi >> wp, n1 * pi + ni * pr >> wp,
-                                   sr, si, wp)
-                    dr, di = n1 - kr, ni - ki
-                    sr, si = _cdiv((mr * ur - mi * ui >> wp) + qr,
-                                   (mr * ui + mi * ur >> wp) + qi,
-                                   n * dr - ni * di >> wp, n * di + ni * dr >> wp, wp)
                 if guarded:
                     wr, wi, ws = _renormalize(wr * sr - wi * si, wr * si + wi * sr,
                                               ws + wp, wp)
+                yield sr, si
+                if ell in guarded:
+                    # an mpc divisor also for real k: the complex step's rounding
+                    nxt = whittaker_w((k, mu0 + ell + 1), z, ctx=ctx)
+                    sr, si = _fixed_quotient(ctx, nxt, ctx.from_fixed(wr, wi, ws), wp)
+                    continue
+                n = nu0 + ell * one
+                n1 = n + one
+                if real:
+                    ur = ((2 * n * n1 >> wp) * izr >> wp) - kr
+                    qr = (n1 * (n + kr) >> wp << wp) // sr
+                    sr = (((2 * n + one) * ur >> wp) + qr << wp) // (n * (n1 - kr) >> wp)
+                    continue
+                tr, ti = 2 * (n * n1 - ni * ni) >> wp, 2 * ni * (n + n1) >> wp
+                ur = (tr * izr - ti * izi >> wp) - kr
+                ui = (tr * izi + ti * izr >> wp) - ki
+                mr, mi = 2 * n + one, 2 * ni
+                pr, pi = n + kr, ni + ki
+                qr, qi = _cdiv(n1 * pr - ni * pi >> wp, n1 * pi + ni * pr >> wp,
+                               sr, si, wp)
+                dr, di = n1 - kr, ni - ki
+                sr, si = _cdiv((mr * ur - mi * ui >> wp) + qr,
+                               (mr * ui + mi * ur >> wp) + qi,
+                               n * dr - ni * di >> wp, n * di + ni * dr >> wp, wp)
         return seed, w_ratios()
 
+    seed = whittaker_m((k, mu0), z, ctx=ctx)
     kkr, kki = kr * kr - ki * ki, 2 * kr * ki
     nn = ni * ni
 
@@ -566,6 +593,11 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
         # two pairs at 3 wp bits; b' = k - c'/z; c' = 2nu(nu+1)
         n = nu0 + j * one
         n1 = n + one
+        if real:
+            cr = 2 * n * n1 >> wp
+            return ((n * (n1 * n1 - kkr) << wp)
+                    // (2 * n1 * ((2 * n + one) * (2 * n + 3 * one))), 0,
+                    kr - (cr * izr >> wp), 0, cr, 0)
         sr, si = n1 * n1 - nn - kkr, 2 * n1 * ni - kki
         er = (2 * n + one) * (2 * n + 3 * one) - 4 * nn
         ei = 8 * ni * n1
@@ -590,6 +622,18 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
             s_n = max(0, max(abs(br), abs(bi)).bit_length() - wp)
             br, bi = -br >> s_n, -bi >> s_n
             shift = wp + s + s_n
+            if real:
+                # (d << 2wp) // d^2 is (1 << 2wp) // d
+                pr = ar * gr >> shift
+                dr = br + (pr * dr >> wp) or 1
+                dr = (1 << 2 * wp) // dr
+                cr = br + (pr << wp) // cr or 1
+                er = cr * dr >> wp
+                fr = fr * er >> wp
+                if abs(er - one) <= tol:
+                    return (c0r << wp) // (fr << s0), 0
+                ar, s = a_nr, s_n
+                continue
             pr, pi = ar * gr - ai * gi >> shift, ar * gi + ai * gr >> shift
             dr, di = br + (pr * dr - pi * di >> wp), bi + (pr * di + pi * dr >> wp)
             if not (dr or di):
@@ -623,8 +667,11 @@ def _fixed_ladder(kind: str, k, mu0, z, ctx, wp: int):
             for j in range(top - 1, lo - 1, -1):
                 ar, ai, br, bi, cr, ci = coefficients(j)
                 rr, ri = rho
-                rho = _cdiv(cr, ci, (ar * rr - ai * ri >> wp) - br,
-                            (ar * ri + ai * rr >> wp) - bi, wp)
+                if real:
+                    rho = (cr << wp) // ((ar * rr >> wp) - br), 0
+                else:
+                    rho = _cdiv(cr, ci, (ar * rr - ai * ri >> wp) - br,
+                                (ar * ri + ai * rr >> wp) - bi, wp)
                 ratios.append(rho)
             yield from reversed(ratios)
     return seed, m_ratios()
@@ -687,7 +734,9 @@ def _fixed_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
     on integers at the ladder precision.  T_first = scale M_first W_first,
     and each step multiplies T by rho_l, sigma_l (1 without W) and the
     coefficient step; C runs on pairs beside it.  No factor is formed alone,
-    and one rounding to the context is made per term."""
+    and one rounding to the context is made per term.  When every input is
+    real the steps drop the zero imaginary halves: each dropped product has
+    an exact zero factor, so the terms are the complex steps' own."""
     zs = (z_m,) if z_w is None else (z_m, z_w)
     # the ladder precision: LADDER_GUARD_BITS and the bits of |z| away from 1
     wp = ctx.prec + LADDER_GUARD_BITS + max(abs(ctx.exponent(z)) for z in zs)
@@ -715,9 +764,17 @@ def _fixed_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
     for ell in itertools.count(1):
         # 2(l+mu-1) = 2mu+2l-2, the first coefficient divisor too
         ar, ai = m2r + (2 * ell - 2) * unit, m2i
+        gr = ar - ell * unit
+        if real:
+            if ell > first:
+                yield ctx.from_fixed(tr * cr, None, s + wp)
+                tr = (tr * next(rhos)[0] * next(sigmas)[0] * (ell * one + hr) << e
+                      ) // (ar * (ar + unit) >> e)
+                tr, _, s = _renormalize(tr, 0, s + 3 * wp, wp)
+            pr, cr = cr, ((ar * (xr * cr >> wp) >> e) - (gr * pr >> e)) // ell
+            continue
         if ell > first:
-            yield ctx.from_fixed(tr * cr - ti * ci, None if real else tr * ci + ti * cr,
-                                 s + wp)
+            yield ctx.from_fixed(tr * cr - ti * ci, tr * ci + ti * cr, s + wp)
             rr, ri = next(rhos)
             sr, si = next(sigmas)
             tr, ti = tr * rr - ti * ri, tr * ri + ti * rr
@@ -728,7 +785,6 @@ def _fixed_terms(k, mu, x, scale, z_m, z_w, first: int, ctx):
                            ar * br - ai * ai >> e, ai * (ar + br) >> e, e)
             tr, ti, s = _renormalize(tr, ti, s + 3 * wp, wp)
         ur, ui = xr * cr >> wp, xr * ci >> wp
-        gr = ar - ell * unit
         (pr, pi), (cr, ci) = (cr, ci), (
             ((ar * ur - ai * ui >> e) - (gr * pr - ai * pi >> e)) // ell,
             ((ar * ui + ai * ur >> e) - (gr * pi + ai * pr >> e)) // ell)

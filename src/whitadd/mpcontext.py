@@ -8,8 +8,8 @@ are floats taken from the float parts, ``math.hypot(float(re), float(im))``: a
 square root instead of an mpmath ``hypot`` at full precision, for values that
 only steer stop rules and comparisons. ``fixed``, ``from_fixed``, ``exponent``
 and ``workprec`` carry values to and from the fixed-point integers of the
-Kummer series loops (``special_core``) and of the order ladders
-(``identities``). ``digamma`` is summed on such integers too (``_psi_fixed``),
+Kummer series loops (``special_core``), of the order ladders
+(``identities``) and of the extended sum of ``sum_series``. ``digamma`` is summed on such integers too (``_psi_fixed``),
 at the working precision plus ``PSI_GUARD_BITS``, plus the bits by which the
 argument nears a pole: the upward recurrence to Re w >= wp/4, then ln w,
 1/(2w) and the Stirling terms B_2k/(2k w^2k), with B_2k from mpmath's cached

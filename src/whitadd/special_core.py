@@ -15,24 +15,32 @@ The three Kummer series loops -- the 1F1 power series, its terminating
 polynomial and the infinite sum of U's logarithmic case -- have one float
 body for the hardware context and one fixed-point body for extended
 contexts, where values are Python integers scaled by 2^wp (complex values
-as pairs) and wp is the context's working precision ``ctx.prec`` (raised
-inside ``extra_digits``) plus guard bits, the technique of mpmath's
-``hypsum`` [J].  The float body of the terminating polynomial runs its
-three-term recurrence in the degree instead, since its terms cancel for
-z > 0.  A fixed-point loop stops once its terms fall below the
-working precision relative to its sum, never at the context's base
-``eps``. It tracks its peak term and the bits of its sum; when
-cancellation leaves fewer than ``ctx.prec`` bits it is summed again with
-more guard bits, and past ``MAX_GUARD_BITS`` it raises PrecisionExhausted.
-U's convergent routes add the parts of their connection formulas with
-guard digits and retry the same way when the parts cancel more than those.
+as pairs, real ones without the zero imaginary half) and wp is the
+context's working precision ``ctx.prec`` (raised inside ``extra_digits``)
+plus guard bits, the technique of mpmath's ``hypsum`` [J].  The float body
+of the terminating polynomial runs its three-term recurrence in the degree
+instead, since its terms cancel for z > 0.  A fixed-point loop stops once
+its terms fall below the working precision relative to its sum, never at
+the context's base ``eps``; it counts the sum's bits only for a term that
+could pass that test. It tracks its peak term and the bits of its sum;
+when cancellation leaves fewer than ``ctx.prec`` bits it is summed again
+with more guard bits, and past ``MAX_GUARD_BITS`` it raises
+PrecisionExhausted.  U's convergent routes add the parts of their
+connection formulas with guard digits and retry the same way when the
+parts cancel more than those.
+
+``kummer_pair`` returns f(a, b, z) with its contiguous partner
+f(a+1, b+1, z), which up to a factor is the z-derivative; on an extended
+context the 1F1 series and U's logarithmic case sum the partner in the
+same fixed-point pass, the way ``hypsum`` carries a derivative.  The
+Whittaker derivatives and the seeds of the extended W ladder take it.
 
 References
 ----------
 .. [AS] Abramowitz & Stegun, Handbook of Mathematical Functions, ch. 13
         (13.1.2, 13.1.3, 13.1.6, 13.4.21, 13.5.1, 13.5.2).
 .. [DLMF] NIST Digital Library of Mathematical Functions, ch. 13, 13.2.9,
-        13.3.1, 13.7.3, 18.9.
+        13.3.1, 13.3.15, 13.3.22, 13.7.3, 18.9.
 .. [J] F. Johansson, Computing hypergeometric functions rigorously,
        ACM Trans. Math. Software 45 (2019) 30.
 """
@@ -73,6 +81,10 @@ ASYMPTOTIC_Z_SWITCH = 18.0
 # and the most it may grow to when cancellation eats them
 GUARD_BITS = 24
 MAX_GUARD_BITS = 4096
+
+# a sum of at most MAX_TERMS terms has at most this many bits more than its
+# largest term
+SUM_BITS = MAX_TERMS.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +293,7 @@ def _hyp1f1_poly(m: int, b, z, ctx):
     if m == 0:  # the fixed-point body would charge a zero b's bits as lost
         return ctx.convert(1)
     if ctx.kind != "hardware":
-        return _fixed_point(_hyp1f1_fixed, (ctx.convert(-m), b, z, m, True), ctx)
+        return _fixed_point(_hyp1f1_fixed, (ctx.convert(-m), b, z, m, True, False), ctx)[0]
     prev, p = 0, ctx.convert(1)
     for k in range(m):
         den = b + k
@@ -298,7 +310,7 @@ def _hyp1f1_series(a, b, z, ctx):
     Caller guarantees (b)_k never hits zero before the series terminates.
     """
     if ctx.kind != "hardware":
-        return _fixed_point(_hyp1f1_fixed, (a, b, z, MAX_TERMS, False), ctx)
+        return _fixed_point(_hyp1f1_fixed, (a, b, z, MAX_TERMS, False, False), ctx)[0]
     eps, mag = ctx.eps, ctx.abs
     term = ctx.convert(1)
     total = term
@@ -323,23 +335,24 @@ def _hyp1f1_series(a, b, z, ctx):
 # fixed-point series bodies (extended contexts)
 # ---------------------------------------------------------------------------
 
-def _fixed_point(body, args, ctx, guard: int = 0):
+def _fixed_point(body, args, ctx, guard: int = 0) -> tuple:
     """Sum a series on fixed-point integers with wp = ctx.prec + guard bits.
 
-    ``body(*args, ctx, wp)`` returns (re, im, lost): the sum times 2^wp as
-    integers (im None for a real sum) and the bits it cannot vouch for,
-    log2 of its peak term over the sum plus log2 of its term count.  A sum
-    that keeps fewer than ctx.prec bits is summed again with lost +
-    GUARD_BITS guard bits; one that would need more than MAX_GUARD_BITS
-    raises PrecisionExhausted.
+    ``body(*args, ctx, wp)`` returns (sums, lost): a tuple of sums, each a
+    pair (re, im) of integers standing for the sum times 2^wp (im None for a
+    real sum), and the most bits it cannot vouch for in any of them, log2 of
+    a peak term over its sum plus log2 of the term count.  The sums come
+    back rounded to the context.  A pass that keeps fewer than ctx.prec bits
+    in any sum is summed again with lost + GUARD_BITS guard bits; one that
+    would need more than MAX_GUARD_BITS raises PrecisionExhausted.
     """
     prec = ctx.prec
     guard += GUARD_BITS
     while True:
         wp = prec + guard
-        re, im, lost = body(*args, ctx, wp)
+        sums, lost = body(*args, ctx, wp)
         if lost <= guard:
-            return ctx.from_fixed(re, im, wp)
+            return tuple(ctx.from_fixed(re, im, wp) for re, im in sums)
         if guard >= MAX_GUARD_BITS:
             raise PrecisionExhausted(
                 f"{body.__name__[1:]} cancels {lost} bits, more than the "
@@ -349,23 +362,28 @@ def _fixed_point(body, args, ctx, guard: int = 0):
 
 def _bits(x: int, y: int) -> int:
     """Bit length of the larger part of the fixed-point number x + i y."""
-    return max(abs(x), abs(y)).bit_length()
+    return (abs(x) | abs(y)).bit_length()
 
 
-def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, ctx, wp: int):
+def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, pair: bool, ctx, wp: int):
     """Body of ``_hyp1f1_series`` (terminating: of ``_hyp1f1_poly``, with
     a = -terms) at wp fractional bits, for ``_fixed_point``.
 
     t_{k+1} = t_k (a+k) z / ((b+k)(k+1)): one product and one floor
     division per term, so each term is off by at most its last unit.  The
     truncation of b to wp bits costs every term the bits of |b| below 1,
-    which are counted as lost too.
+    which are counted as lost too.  With ``pair`` the same pass also sums
+    D = sum_k k t_k = z d/dz 1F1(a; b; z) = (a z / b) 1F1(a+1; b+1; z)
+    [DLMF 13.3.15] and returns it second; it stops only once the terms of
+    both sums are negligible, and the multiplier k costs D up to log2 k
+    bits more than the sum, counted as lost.
     """
     prec, one = ctx.prec, 1 << wp
     (ar, ai), (br, bi), (zr, zi) = (ctx.fixed(v, wp) for v in (a, b, z))
     real = ai is None and bi is None and zi is None
     ai, bi, zi = ai or 0, bi or 0, zi or 0
     tr, ti, sr, si = one, 0, one, 0
+    qr = qi = 0  # D, with pair
     peak, small, k = wp + 1, 0, 0
     lost = max(0, wp + 1 - _bits(br, bi))
     for k in range(terms):
@@ -381,6 +399,9 @@ def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, ctx, wp: int):
             tr, ti = (pr * dr + pi * di) // den, (pi * dr - pr * di) // den
         sr += tr
         si += ti
+        if pair:
+            qr += (k + 1) * tr
+            qi += (k + 1) * ti
         ar += one
         br += one
         tb = _bits(tr, ti)
@@ -390,7 +411,13 @@ def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, ctx, wp: int):
             continue
         if not tb:
             break  # a zero term zeroes every later one
-        if tb + prec <= _bits(sr, si):
+        # the sum has at most peak + SUM_BITS bits, so a term above that
+        # less prec cannot pass the test, and the sum's bits go uncounted.
+        # A term of D at the level of its units' noise passes too: a floor
+        # keeps a negative term at -1 for ever
+        if (tb + prec <= peak + SUM_BITS and tb + prec <= _bits(sr, si)
+                and (not pair or tb <= (k + 1).bit_length()
+                     or tb + (k + 1).bit_length() + prec <= _bits(qr, qi))):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 break
@@ -399,7 +426,13 @@ def _hyp1f1_fixed(a, b, z, terms: int, terminating: bool, ctx, wp: int):
     else:
         if not terminating:
             raise NoConvergence(f"1F1({a}; {b}; {z}) did not converge in {terms} terms")
-    return sr, None if real else si, lost + peak - _bits(sr, si) + (k + 1).bit_length()
+    count = (k + 1).bit_length()
+    sums = ((sr, None if real else si),)
+    worst = peak - _bits(sr, si) + count
+    if pair:
+        sums += ((qr, None if real else qi),)
+        worst = max(worst, peak - _bits(qr, qi) + 2 * count)
+    return sums, lost + worst
 
 
 def kummer_m(a, b, z, ctx=None):
@@ -407,8 +440,21 @@ def kummer_m(a, b, z, ctx=None):
 
     For Re z < 0 the Kummer transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z)
     moves the series to the cancellation-free half-plane, except when a is a
-    non-positive integer, where the direct terminating polynomial is exact.
+    non-positive integer, where the direct terminating polynomial is exact
+    (on an extended context only for an a that is exactly one).
     """
+    ctx, a, b, z = _m_arguments(a, b, z, ctx)
+    # an extended a within eps of 0, -1, ... is not cut to the polynomial:
+    # 1F1(1e-52; 1; 18) differs from 1 at the 45th digit
+    if is_nonpositive_integer(a) and (ctx.kind == "hardware" or a == nearest_integer(a)):
+        return _hyp1f1_poly(-nearest_integer(a), b, z, ctx)
+    if float(ctx.re(z)) < 0:
+        return ctx.exp(z) * _hyp1f1_series(b - a, b, -z, ctx)
+    return _hyp1f1_series(a, b, z, ctx)
+
+
+def _m_arguments(a, b, z, ctx):
+    """ctx, a, b, z in the context, checked for 1F1: finite, b off the poles."""
     ctx = resolve(ctx)
     a = ctx.convert(a)
     b = ctx.convert(b)
@@ -417,11 +463,7 @@ def kummer_m(a, b, z, ctx=None):
         raise UnsupportedRegion(f"kummer_m needs finite arguments, got a={a}, b={b}, z={z}")
     if is_nonpositive_integer(b):
         raise PoleAtNonpositiveB(f"1F1 undefined at non-positive integer b={b}")
-    if is_nonpositive_integer(a):
-        return _hyp1f1_poly(-nearest_integer(a), b, z, ctx)
-    if float(ctx.re(z)) < 0:
-        return ctx.exp(z) * _hyp1f1_series(b - a, b, -z, ctx)
-    return _hyp1f1_series(a, b, z, ctx)
+    return ctx, a, b, z
 
 
 def _hyp_u_asymptotic(a, b, z, ctx):
@@ -488,11 +530,19 @@ def _log_series(a, n: int, z, lnz, ctx):
     raise NoConvergence(f"U log-case series stalled at a={a}, b={n + 1}, z={z}")
 
 
-def _log_series_fixed(a, n: int, z, ctx, wp: int):
+def _log_series_fixed(a, n: int, z, pair: bool, ctx, wp: int):
     """The infinite sum of ``_hyp_u_log_case`` at wp fractional bits, for
     ``_fixed_point``: c_{r+1} = c_r (a+r) z / ((n+1+r)(r+1)) with an integer
     divisor, and the bracket d_r = ln z + psi(a+r) - psi(1+r) - psi(1+n+r)
-    carried as d_{r+1} = d_r + 1/(a+r) - 1/(1+r) - 1/(1+n+r)."""
+    carried as d_{r+1} = d_r + 1/(a+r) - 1/(1+r) - 1/(1+n+r).
+
+    With ``pair`` the same pass also sums P = sum_{r>=1} (r c_r d_r + c_r),
+    returned second: the partner U(a+1, n+2, z) has coefficients
+    (n+1)(r+1) c_{r+1}/(a z) and brackets d_{r+1} + 1/(r+1), so its sum is
+    (n+1) P/(a z).  The loop stops once the terms of both sums are
+    negligible.  P's terms are off by up to r units of c_r, so its lost bits
+    are counted against c_0 = 1 as well as the peak term, twice the count's.
+    """
     prec, one, two_wp = ctx.prec, 1 << wp, 2 * wp
     with ctx.workprec(wp):  # psi(1) + psi(n+1) = -2 gamma + H_n
         d = ctx.log(z) + ctx.digamma(a) + 2 * ctx.euler
@@ -502,16 +552,19 @@ def _log_series_fixed(a, n: int, z, ctx, wp: int):
     dr -= sum(one // k for k in range(1, n + 1))
     cr, ci, ti = one, 0, 0
     sr, si = dr, di
+    qr = qi = 0  # P, with pair
     peak, small = _bits(dr, di), 0
     for r in range(MAX_TERMS):
-        q = (n + 1 + r) * (1 + r) << two_wp
+        # the floor of a floor by 2^(2wp), then by the integer, is the floor
+        # by their product
+        q = (n + 1 + r) * (1 + r)
         steps = one // (1 + r) + one // (n + 1 + r)
         if real:
-            cr = cr * ar * zr // q
+            cr = (cr * ar * zr >> two_wp) // q
             dr += (one << wp) // ar - steps
             tr = cr * dr >> wp
         else:
-            cr, ci = (cr * ar - ci * ai) * zr // q, (cr * ai + ci * ar) * zr // q
+            cr, ci = ((cr * ar - ci * ai) * zr >> two_wp) // q, ((cr * ai + ci * ar) * zr >> two_wp) // q
             m = ar * ar + ai * ai
             dr += (ar << two_wp) // m - steps
             di -= (ai << two_wp) // m
@@ -519,19 +572,34 @@ def _log_series_fixed(a, n: int, z, ctx, wp: int):
         ar += one
         sr += tr
         si += ti
+        if pair:
+            ur, ui = (r + 1) * tr + cr, (r + 1) * ti + ci
+            qr += ur
+            qi += ui
         tb = _bits(tr, ti)
         if tb > peak:
             peak = tb
-        if tb + prec <= _bits(sr, si):
+        # the sum's bits are counted only for a term that could pass.  A term
+        # of P at the level of its units' noise passes too: a floor keeps a
+        # negative c_r at -1 for ever
+        if (tb + prec <= peak + SUM_BITS and tb + prec <= _bits(sr, si)
+                and (not pair or _bits(ur, ui) <= 2 * (r + 1).bit_length()
+                     or _bits(ur, ui) + prec <= _bits(qr, qi))):
             small += 1
             if small >= CONSECUTIVE_SMALL:
-                return sr, None if real else si, peak - _bits(sr, si) + (r + 1).bit_length()
+                count = (r + 1).bit_length()
+                sums = ((sr, None if real else si),)
+                lost = peak - _bits(sr, si) + count
+                if pair:
+                    sums += ((qr, None if real else qi),)
+                    lost = max(lost, max(peak, wp + 1) - _bits(qr, qi) + 2 * count)
+                return sums, lost
         else:
             small = 0
     raise NoConvergence(f"U log-case series stalled at a={a}, b={n + 1}, z={z}")
 
 
-def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
+def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0, pair: bool = False) -> tuple:
     """The parts whose sum is U(a, n+1, z), integer n >= 0, by the
     logarithmic expansion [AS 13.1.6]:
 
@@ -540,16 +608,21 @@ def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
                    [ln z + psi(a+r) - psi(1+r) - psi(1+n+r)]
                + (n-1)!/Gamma(a) * z^{-n} *
                    sum_{r=0}^{n-1} (a-n)_r z^r / ((1-n)_r r!)
-    with the second (finite) sum absent for n = 0. The caller guarantees a is
-    not an integer <= n (those cases terminate elsewhere), so all digamma
-    arguments stay off the poles. ``guard`` forecasts in bits how much the
-    infinite sum cancels; its fixed-point body starts with that many extra.
+    with the second (finite) sum absent for n = 0, returned as the one part
+    tuple of a tuple, the form ``_cancelling_sum`` takes.  The caller
+    guarantees a is not an integer <= n (those cases terminate elsewhere),
+    so all digamma arguments stay off the poles.
+    ``guard`` forecasts in bits how much the infinite sum cancels; its
+    fixed-point body starts with that many extra.  With ``pair`` (extended
+    contexts only) the parts of U(a+1, n+2, z) follow as a second tuple:
+    the same expansion at a+1, n+1, whose infinite sum comes from the same
+    pass and which shares its 1/Gamma(a-n), psi(a) and ln z.
     """
     if ctx.kind == "hardware":
         lnz = ctx.log(z)
         total = _log_series(a, n, z, lnz, ctx)
     else:
-        total = _fixed_point(_log_series_fixed, (a, n, z), ctx, guard)
+        total, *partner = _fixed_point(_log_series_fixed, (a, n, z, pair), ctx, guard)
 
     sign = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
     # n! and 1/Gamma(a-n) separately overflow doubles near n ~ 170; combine
@@ -567,48 +640,61 @@ def _hyp_u_log_case(a, n: int, z, ctx, guard: int = 0):
     parts = (sign * pre1 * total,)
 
     if n > 0:
-        fterm = ctx.convert(1)  # (a-n)_r z^r / ((1-n)_r r!)
-        fsum = fterm
-        for r in range(n - 1):
-            fterm = fterm * (a - n + r) * z / ((1 - n + r) * (1 + r))
-            fsum = fsum + fterm
         if big_n:
             pre2 = ctx.exp(ctx.loggamma(n) - ctx.loggamma(a) - n * lnz)
         else:
             pre2 = math.factorial(n - 1) * rga * ctx.power(z, -n)
-        parts += (pre2 * fsum,)
+        parts += (pre2 * _finite_sum(a - n, n, z, ctx),)
     if big_n and not isinstance(a, complex):
         # loggamma of negative reals walks through the complex plane; the
         # imaginary dust is far below eps relative to the real part here
         parts = tuple(p.real if isinstance(p, complex) else p for p in parts)
-    return parts
+    if not pair:
+        return (parts,)
+    # U(a+1, n+2, z): (-1)^n/((n+1)! Gamma(a-n)) (n+1) P/(a z), and the
+    # finite sum at a+1, n+1 with the prefactor n!/Gamma(a+1) z^{-n-1}
+    pre2 = math.factorial(n) * rga / a * ctx.power(z, -n - 1)
+    return parts, (-sign * pre1 * partner[0] / (a * z), pre2 * _finite_sum(a - n, n + 1, z, ctx))
 
 
-def _hyp_u_reflection(a, b, z, ctx):
+def _finite_sum(c, n: int, z, ctx):
+    """sum_{r=0}^{n-1} (c)_r z^r / ((1-n)_r r!), the finite sum of
+    ``_hyp_u_log_case`` with c = a - n."""
+    fterm = ctx.convert(1)
+    fsum = fterm
+    for r in range(n - 1):
+        fterm = fterm * (c + r) * z / ((1 - n + r) * (1 + r))
+        fsum = fsum + fterm
+    return fsum
+
+
+def _hyp_u_reflection(a, b, z, ctx) -> tuple:
     """The two parts whose sum is U for non-integer b, by the two-1F1
-    connection formula [AS 13.1.3]."""
+    connection formula [AS 13.1.3], as a tuple of one part tuple."""
     first = ctx.gamma(1 - b) * ctx.rgamma(a - b + 1) * _hyp1f1_series(a, b, z, ctx)
     second = (ctx.gamma(b - 1) * ctx.rgamma(a)
               * ctx.power(z, 1 - b) * _hyp1f1_series(a - b + 1, 2 - b, z, ctx))
-    return first, second
+    return ((first, second),)
 
 
-def _cancelling_sum(route, ctx, guard: int):
-    """The sum of the parts ``route(gctx)`` returns with ``guard`` extra
-    digits in force.  On an extended context, parts that cancel more than
-    guard - 3 digits are evaluated again with 10 more guard digits than they
-    lost; a loss beyond MAX_GUARD_BITS raises PrecisionExhausted."""
-    if ctx.kind == "hardware":  # no guard digits to add
-        parts = route(ctx)
-        return sum(parts[1:], parts[0])
+def _cancelling_sum(route, ctx, guard: int) -> list:
+    """The sums of the part tuples ``route(gctx)`` returns, with ``guard``
+    extra digits in force.  On an extended context, parts that cancel more
+    than guard - 3 digits in any of the sums are evaluated again with 10
+    more guard digits than they lost; a loss beyond MAX_GUARD_BITS raises
+    PrecisionExhausted."""
+    if ctx.kind == "hardware":  # no guard digits to add, and one sum
+        (parts,) = route(ctx)
+        return [sum(parts[1:], parts[0])]
     while True:
         with ctx.extra_digits(guard) as gctx:
-            parts = route(gctx)
-            value = sum(parts[1:], parts[0])
-            ratio = max(ctx.mag(p / value) for p in parts) if value != 0 else math.inf
+            sums = route(gctx)
+            values = [sum(parts[1:], parts[0]) for parts in sums]
+            ratio = max(ctx.mag(p / value) if value != 0 else math.inf
+                        for parts, value in zip(sums, values) for p in parts)
         lost = math.log10(ratio)
         if lost <= guard - 3:
-            return value
+            return values
         if lost > MAX_GUARD_BITS * math.log10(2):
             raise PrecisionExhausted(
                 f"the parts of U cancel {lost:.0f} digits, beyond the {MAX_GUARD_BITS}-bit cap")
@@ -634,15 +720,7 @@ def kummer_u(a, b, z, ctx=None):
     when the loss exceeds them; the hardware context switches to the
     asymptotic series beyond z ~= 18.
     """
-    ctx = resolve(ctx)
-    a = ctx.convert(a)
-    b = ctx.convert(b)
-    z = ctx.convert(z)
-    if not ctx.isfinite(a + b + z):  # all three finite, short of an overflow
-        raise UnsupportedRegion(f"kummer_u needs finite arguments, got a={a}, b={b}, z={z}")
-    if ctx.mag(z) != abs(float(ctx.re(z))) or float(ctx.re(z)) <= 0:
-        raise UnsupportedRegion(f"kummer_u requires real z > 0, got z={z!r}")
-    z = ctx.re(z) if not isinstance(z, float) else z
+    ctx, a, b, z = _u_arguments(a, b, z, ctx)
 
     if is_nonpositive_integer(b):
         bi = nearest_integer(b)
@@ -669,17 +747,65 @@ def kummer_u(a, b, z, ctx=None):
             return value
 
     if b_int:
-        n = nearest_integer(b) - 1
-        if zf < SMALL_Z_CUTOFF:
-            raise UnsupportedRegion(
-                f"integer-b U expansion refused below z={SMALL_Z_CUTOFF} (z={zf})")
-        # the infinite sum carries its e^z cancellation, log2(e) = 1.443 bits per
-        # unit of z, as guard bits of its own
-        return _cancelling_sum(lambda g: _hyp_u_log_case(
-            g.convert(a), n, g.convert(z), g, int(1.443 * zf)), ctx, 10)
+        return _u_log_route(a, b, z, zf, ctx, False)[0]
 
     return _cancelling_sum(lambda g: _hyp_u_reflection(
-        g.convert(a), g.convert(b), g.convert(z), g), ctx, int(0.434 * zf) + 10)
+        g.convert(a), g.convert(b), g.convert(z), g), ctx, int(0.434 * zf) + 10)[0]
+
+
+def _u_arguments(a, b, z, ctx):
+    """ctx, a, b, z in the context, checked for U: finite, z real and > 0."""
+    ctx = resolve(ctx)
+    a = ctx.convert(a)
+    b = ctx.convert(b)
+    z = ctx.convert(z)
+    if not ctx.isfinite(a + b + z):  # all three finite, short of an overflow
+        raise UnsupportedRegion(f"kummer_u needs finite arguments, got a={a}, b={b}, z={z}")
+    if ctx.mag(z) != abs(float(ctx.re(z))) or float(ctx.re(z)) <= 0:
+        raise UnsupportedRegion(f"kummer_u requires real z > 0, got z={z!r}")
+    z = ctx.re(z) if not isinstance(z, float) else z
+    return ctx, a, b, z
+
+
+def _u_log_route(a, b, z, zf: float, ctx, pair: bool) -> list:
+    """U(a, b, z) by the logarithmic case for a positive integer b, with
+    U(a+1, b+1, z) after it when ``pair``; zf is z as a float."""
+    n = nearest_integer(b) - 1
+    if zf < SMALL_Z_CUTOFF:
+        raise UnsupportedRegion(
+            f"integer-b U expansion refused below z={SMALL_Z_CUTOFF} (z={zf})")
+    # the infinite sum carries its e^z cancellation, log2(e) = 1.443 bits per
+    # unit of z, as guard bits of its own
+    return _cancelling_sum(lambda g: _hyp_u_log_case(
+        g.convert(a), n, g.convert(z), g, int(1.443 * zf), pair), ctx, 10)
+
+
+def kummer_pair(kind: str, a, b, z, ctx=None) -> tuple:
+    """(f(a, b, z), f(a+1, b+1, z)) for f = 1F1 (kind "M") or U (kind "W"),
+    the contiguous pair whose second member is, up to a factor, the
+    z-derivative of the first [DLMF 13.3.15, 13.3.22]:
+
+        d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z),   d/dz U(a, b, z) = -a U(a+1, b+1, z).
+
+    On an extended context the 1F1 power series (Re z > 0, a off the
+    non-positive integers) and U's logarithmic case (positive integer b) sum
+    both members in one fixed-point pass, whose lost bits and, for U, whose
+    connection parts are judged over both; every other route, and the
+    hardware context, makes the two ``kummer_m`` or ``kummer_u`` calls.
+    """
+    ctx = resolve(ctx)
+    if ctx.kind != "hardware" and kind == "M":
+        _, a, b, z = _m_arguments(a, b, z, ctx)
+        if not is_nonpositive_integer(a) and float(ctx.re(z)) > 0:
+            f, d = _fixed_point(_hyp1f1_fixed, (a, b, z, MAX_TERMS, False, True), ctx)
+            return f, d * b / (a * z)
+    elif ctx.kind != "hardware":
+        _, a, b, z = _u_arguments(a, b, z, ctx)
+        if (is_nonpositive_integer(1 - b) and not is_nonpositive_integer(a)
+                and not is_nonpositive_integer(a - b + 1)):
+            return tuple(_u_log_route(a, b, z, float(z), ctx, True))
+    single = kummer_m if kind == "M" else kummer_u
+    return single(a, b, z, ctx), single(a + 1, b + 1, z, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +829,10 @@ def _whittaker_parts(kind: str, order, r, ctx):
 
 def whittaker_with_derivative(kind: str, order, r, ctx=None):
     """(M_{kappa,mu}(r), M'_{kappa,mu}(r)) for kind "M", or (W, W') for kind
-    "W", from two Kummer evaluations.  With a = mu - kappa + 1/2, b = 2 mu + 1
-    the derivatives are the contiguous relations
+    "W", from the Kummer pair of ``kummer_pair``: one fixed-point pass on an
+    extended context where its route allows, two Kummer evaluations
+    otherwise.  With a = mu - kappa + 1/2, b = 2 mu + 1 the derivatives are
+    the contiguous relations
 
         M' = (-1/2 + (mu+1/2)/r) M + (a/b) e^{-r/2} r^{mu+1/2} 1F1(a+1;b+1;r)
         W' = (-1/2 + (mu+1/2)/r) W - a e^{-r/2} r^{mu+1/2} U(a+1,b+1,r)
@@ -712,13 +840,27 @@ def whittaker_with_derivative(kind: str, order, r, ctx=None):
     never finite differences.  It is the one derivative entry point.
     """
     ctx, mu, half, a, b, r, prefactor = _whittaker_parts(kind, order, r, ctx)
-    if kind == "M":
-        f = kummer_m(a, b, r, ctx)
-        df = (a / b) * kummer_m(a + 1, b + 1, r, ctx)
-    else:
-        f = kummer_u(a, b, r, ctx)
-        df = -a * kummer_u(a + 1, b + 1, r, ctx)
+    f, g = kummer_pair(kind, a, b, r, ctx)
+    df = (a / b) * g if kind == "M" else -a * g
     return prefactor * f, (-half + (mu + half) / r) * prefactor * f + prefactor * df
+
+
+def whittaker_w_seeds(order, r, ctx=None):
+    """(W_{kappa,mu}(r), s) with s = W_{kappa,mu+1}(r)/W_{kappa,mu}(r) - 1,
+    the two seeds of a forward W ladder in mu, from one ``kummer_pair``.
+    With a = mu - kappa + 1/2, b = 2 mu + 1 the contiguous relation
+    z U(a+1, b+2, z) = U(a, b, z) + b U(a+1, b+1, z) [DLMF 13.3.10 at a+1,
+    b+2 with 13.3.9] gives
+
+        W_{kappa,mu+1}(r) = W_{kappa,mu}(r) + (2mu+1) e^{-r/2} r^{mu+1/2} U(a+1, b+1, r),
+
+    so s = b U(a+1, b+1, r)/U(a, b, r), free of the prefactor.  1 + s cancels
+    where the two terms have opposite signs (complex kappa); the caller
+    judges that loss.
+    """
+    ctx, _, _, a, b, r, prefactor = _whittaker_parts("W", order, r, ctx)
+    u, u1 = kummer_pair("W", a, b, r, ctx)
+    return prefactor * u, b * u1 / u
 
 
 def whittaker_m(order, r, ctx=None):

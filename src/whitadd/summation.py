@@ -6,6 +6,8 @@ magnitude, the cancellation condition number sum|t| / |sum t|, and a tail
 estimate at the stopping point. Alternating series that inflate to 1e17
 before collapsing to 1 are first-class citizens here: the condition number is
 exactly the quantity that says how many digits the cancellation destroyed.
+On hardware the sum is compensated; at extended precision it is exact, on
+integers at the first nonzero term's binary scale, and rounded once.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ def context_for(options: SeriesOptions):
 
 RATIO_WINDOW = 32
 
+# bits below the first nonzero term's last working bit at which an extended
+# sum adds its terms
+SUM_GUARD_BITS = 64
+
 
 def _tail_bound(mags: list) -> float:
     """Geometric tail bound from the decay observed over a trailing window
@@ -120,7 +126,10 @@ def _tail_bound(mags: list) -> float:
 
 
 def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
-    """Sum a series with full diagnostics.
+    """Sum a series with full diagnostics: Neumaier-compensated on
+    hardware, exact on integers at extended precision (each term cut at
+    SUM_GUARD_BITS below the first nonzero term's last working bit) and
+    rounded to the context once.
 
     Parameters
     ----------
@@ -149,9 +158,14 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     # On hardware the sum is Neumaier-compensated: the partial sum s and its
     # compensation c take the real parts, and from the first complex term on
     # s_im and c_im take the imaginary parts (None until then); the value is
-    # s + c, or complex(s + c, s_im + c_im).  Extended contexts carry enough
-    # digits to add plainly into s.  The magnitudes and their sum abs_sum,
-    # which only steer the stop rule and the condition number, are floats.
+    # s + c, or complex(s + c, s_im + c_im).  On an extended context s and
+    # s_im are integers: each term is added exactly at the binary scale 2^-e
+    # set by the first nonzero term, SUM_GUARD_BITS below its last working
+    # bit, so a term is off by less than a unit there and the value is
+    # rounded to the context once, where it is read; a non-finite term goes
+    # into the context value ``special`` instead.  The magnitudes and
+    # their sum abs_sum, which only steer the stop rule and the condition
+    # number, are floats.
     #
     # The stop rule wants tail <= rel_tol * |value|.  The tail bound is never
     # below the last magnitude, and |value| <= abs_sum up to rounding, so a
@@ -160,7 +174,8 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
     # or overflowing 2 abs_sum never skips, so every stop, value and
     # exception is the one the full rule gives on every term.
     hardware = ctx.kind == "hardware"
-    s = value = 0.0 if hardware else ctx.convert(0)
+    s, value = (0.0, 0.0) if hardware else (0, ctx.convert(0))
+    e = special = None  # the extended sum's scale and non-finite part
     c = 0.0
     s_im = c_im = None
     mags: list[float] = []
@@ -174,6 +189,8 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
         while True:
             if n >= max_terms:
                 tail = _tail_bound(mags)
+                if not hardware:
+                    value = _fixed_value(ctx, s, s_im, e, special)
                 outcome = _finish(value, n, max_mag, abs_sum, tail, ctx)
                 logger.debug("series abandoned after %d terms, tail~%.2e", n, tail)
                 raise NoConvergence(
@@ -208,10 +225,22 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
             else:
                 term = ctx.convert(term)
                 mag = ctx.abs(term)
-                s = value = s + term
+                if not math.isfinite(mag) and not ctx.isfinite(term):
+                    special = term if special is None else special + term
+                else:
+                    if e is None and term:
+                        e = ctx.prec + SUM_GUARD_BITS - ctx.exponent(term)
+                    t_re, t_im = ctx.fixed(term, e or 0)
+                    s += t_re
+                    if t_im is not None:
+                        s_im = t_im if s_im is None else s_im + t_im
             reach = 2.0 * (abs_sum + mag)
-            value_mag = (None if mag > rel_tol * (1e-300 if reach < 1e-300 else reach)
-                         else ctx.abs(value))
+            if mag > rel_tol * (1e-300 if reach < 1e-300 else reach):
+                value_mag = None
+            else:
+                if not hardware:
+                    value = _fixed_value(ctx, s, s_im, e, special)
+                value_mag = ctx.abs(value)
             abs_sum = abs_sum + mag
             if mag > max_mag:
                 max_mag = mag
@@ -229,12 +258,22 @@ def sum_series(terms, options: SeriesOptions | None = None) -> SeriesOutcome:
                 passes = 0
     except OverflowError as exc:
         # a term past the context's range: refuse rather than truncate
+        if not hardware:
+            value = _fixed_value(ctx, s, s_im, e, special)
         raise NoConvergence(
             f"series terms left the {ctx.kind} range before the tail met "
             "tolerance; raise the precision or loosen rel_tol",
             outcome=_finish(value, n, max_mag, abs_sum, _tail_bound(mags), ctx)) from exc
 
+    if not hardware:
+        value = _fixed_value(ctx, s, s_im, e, special)
     return _finish(value, n, max_mag, abs_sum, tail, ctx)
+
+
+def _fixed_value(ctx, re: int, im, e, special):
+    """The extended sum (re + i im) 2^-e, plus its non-finite part."""
+    value = ctx.from_fixed(re, im, e or 0)
+    return value if special is None else value + special
 
 
 def _finish(value, n, max_mag, abs_sum, tail, ctx) -> SeriesOutcome:

@@ -1,6 +1,7 @@
 """Extended-precision Kummer series: the fixed-point loops against the mpf
 loops they replaced, their stop rule, retry and cap, and the accuracy of
-kummer_m / kummer_u at 50 digits against mpmath at 70."""
+kummer_m / kummer_u and of the one-pass kummer_pair at 50 digits against
+mpmath at 70 and 80."""
 
 import mpmath
 import pytest
@@ -11,7 +12,14 @@ from whitadd import special_core
 from whitadd.errors import PrecisionExhausted, WhitaddError
 from whitadd.identities import verify_gegenbauer_addition
 from whitadd.scalar import HARDWARE, extended
-from whitadd.special_core import bessel_modified, kummer_m, kummer_u, whittaker_m, whittaker_w
+from whitadd.special_core import (
+    bessel_modified,
+    kummer_m,
+    kummer_pair,
+    kummer_u,
+    whittaker_m,
+    whittaker_w,
+)
 from whitadd.summation import SeriesOptions
 
 # relative agreement demanded at 50 digits, fixed before measuring
@@ -90,7 +98,7 @@ def _series(ctx, a, b, z):
 
 def _log_series(ctx, a, n, z):
     return special_core._fixed_point(special_core._log_series_fixed,
-                                     (ctx.convert(a), n, ctx.convert(z)), ctx)
+                                     (ctx.convert(a), n, ctx.convert(z), False), ctx)[0]
 
 
 @pytest.mark.parametrize("a, b, z", SERIES_CASES)
@@ -181,6 +189,8 @@ def _check_50_digits(fn, ref, a, b, z):
 @example(a=-7.572851285404717, b=4.929439658482908, z=17.320993146143067)
 # within 1e-12 of -2, which used to select the terminating polynomial
 @example(a=-1.9999999999999991, b=1.0, z=1.0)
+# within the context's eps of 0, which took the polynomial and returned 1
+@example(a=4.689370205157982e-52, b=1.0, z=18.0)
 def test_extended_kummer_m_keeps_50_digits(a, b, z):
     _check_50_digits(kummer_m, mpmath.hyp1f1, a, b, z)
 
@@ -245,3 +255,55 @@ def test_empty_terminating_sum_keeps_50_digits(z):
     assert rep.rel_err <= TOL_50
     # on hardware the early return gives the loop's own 1.0
     assert special_core._hyp1f1_poly(0, 0.0, z, HARDWARE) == 1.0
+
+
+# --- the contiguous pair in one pass -----------------------------------------
+
+_pair_b = st.integers(min_value=1, max_value=6).map(float)
+_pair_z = st.floats(min_value=0.05, max_value=20).filter(lambda z: z > 0.05)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from("MW"), a=_param_a, b=_pair_b, z=_pair_z)
+@example(kind="M", a=1e-40, b=2.0, z=3.0)  # the partner sum is ~a: summed again
+@example(kind="W", a=-8.881784197001252e-16, b=6.0, z=3.0)  # c_r stuck at -1
+@example(kind="M", a=-1e-20, b=2.0, z=3.0)
+@example(kind="W", a=0.4 + 0.3j, b=2.0, z=3.0)
+def test_kummer_pair_keeps_50_digits(kind, a, b, z):
+    # both members against mpmath at 80 digits, or a typed refusal
+    try:
+        got = kummer_pair(kind, a, b, z, ctx=extended(50))
+    except WhitaddError:
+        return
+    ref = mpmath.hyp1f1 if kind == "M" else mpmath.hyperu
+    with mpmath.workdps(80):
+        aa = mpmath.mpmathify(a)
+        want = (ref(aa, b, mpmath.mpf(z)), ref(aa + 1, b + 1, mpmath.mpf(z)))
+    for member, value, ref_value in zip("fg", got, want):
+        assert _rel(value, ref_value) <= TOL_50, (member, kind, a, b, z)
+
+
+@pytest.mark.parametrize("kind, a, b", [("M", 1.3, 2.5), ("M", 0.4 - 0.7j, 3.0),
+                                        ("W", 1.3, 2.0), ("W", -2.6 + 0.5j, 4.0)])
+def test_kummer_pair_takes_one_pass(monkeypatch, kind, a, b):
+    # the 1F1 series and U's log case: one fixed-point body call, no
+    # kummer_m or kummer_u; on hardware the pair is the two calls, bit for bit
+    calls = []
+    for name in ("kummer_m", "kummer_u", "_hyp1f1_fixed", "_log_series_fixed"):
+        fn = getattr(special_core, name)
+        monkeypatch.setattr(special_core, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    kummer_pair(kind, a, b, 4.0, ctx=extended(50))
+    assert calls == ["_hyp1f1_fixed" if kind == "M" else "_log_series_fixed"]
+    monkeypatch.undo()
+    single = kummer_m if kind == "M" else kummer_u
+    assert kummer_pair(kind, a, b, 4.0) == (single(a, b, 4.0), single(a + 1, b + 1, 4.0))
+
+
+def test_kummer_pair_other_routes_take_two_calls():
+    # reflection (non-integer b) and a terminating U: the pair is the two calls
+    ctx = extended(50)
+    for a, b in ((1.3, 2.5), (-3.0, 2.0), (1.0, 2.0)):
+        a, b = ctx.convert(a), ctx.convert(b)
+        assert kummer_pair("W", a, b, 4.0, ctx=ctx) == (
+            kummer_u(a, b, 4.0, ctx=ctx), kummer_u(a + 1, b + 1, 4.0, ctx=ctx))

@@ -405,7 +405,8 @@ def test_m_gegenbauer_sum_takes_the_cosine_at_working_precision():
 
 @pytest.mark.parametrize("verify", [
     lambda opts: verify_gamma_pi(0.3, 1, 2, opts=opts),
-    lambda opts: verify_m_gegenbauer_sum(1.1, 0.8, 1.5 + 0.5j, math.pi / 3, opts=opts),
+    # the two sides differ in their last digits here; at 1.5+0.5j they round alike
+    lambda opts: verify_m_gegenbauer_sum(1.1, 0.8, 1.4 + 0.5j, math.pi / 3, opts=opts),
     lambda opts: verify_whittaker_addition(complex(0.4, 0.3), geometry_from(4.0, 1.5, 1.0),
                                            opts=opts),
 ])

@@ -126,6 +126,13 @@ print(whitadd.kummer_m(0.5, 1.5, 2.0) > 0)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "whitadd"))
 """
 
+EXTENDED_KUMMER_PROBE = """
+import sys
+import whitadd
+print(whitadd.kummer_u(1.3, 2, 5.0, ctx=whitadd.extended(50)) > 0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "whitadd"))
+"""
+
 # ``python -m whitadd.cli eval kummer_m ...`` in this process, its output kept
 CLI_PROBE = """
 import contextlib, io, runpy, sys
@@ -146,7 +153,7 @@ PUBLIC = {
         PrecisionExhausted UnsupportedOrder UnsupportedRegion WhitaddError""",
     "scalar": "HARDWARE ExtendedContext HardwareContext extended resolve",
     "special_core": """bessel_modified binomial density_polynomial gegenbauer_c kummer_m
-        kummer_u laguerre laguerre_bracket legendre_p log_pochhammer pochhammer
+        kummer_pair kummer_u laguerre laguerre_bracket legendre_p log_pochhammer pochhammer
         spherical_harmonic whittaker_m whittaker_w whittaker_with_derivative""",
     "summation": """DEFAULT_MAX_TERMS SeriesOptions SeriesOutcome exact_rational_sum
         mu_large_term_surrogate sum_series""",
@@ -195,6 +202,14 @@ def test_hardware_kummer_call_loads_only_the_layers_below_it():
     modules = ["whitadd"] + [f"whitadd.{m}" for m in ("errors", "gammafn", "scalar",
                                                       "special_core")]
     assert _fresh(KUMMER_PROBE) == ["True", str(sorted(modules))]
+
+
+def test_extended_kummer_call_loads_only_the_layers_below_it():
+    # the extended context adds mpcontext (and mpmath), nothing above
+    # special_core: the fixed-point pair and sum stay in their own layers
+    modules = ["whitadd"] + [f"whitadd.{m}" for m in ("errors", "gammafn", "mpcontext",
+                                                      "scalar", "special_core")]
+    assert _fresh(EXTENDED_KUMMER_PROBE) == ["True", str(sorted(modules))]
 
 
 def test_hardware_cli_eval_loads_no_mpmath():

@@ -178,9 +178,10 @@ def test_m_ladder_where_a_recurrence_coefficient_vanishes(kappa, mu0, z):
 
 
 def test_work_per_point(monkeypatch):
-    # the Hostler bracket takes (W, W') and (M, M') from two Kummer calls
-    # each; the partial-wave sum evaluates M directly only below l_t
-    calls = {"kummer_m": 0, "kummer_u": 0}
+    # the Hostler bracket takes (W, W') and (M, M') from one Kummer pair each:
+    # two Kummer calls each on hardware, one fixed-point pass each at extended
+    # precision; the partial-wave sum evaluates M directly only below l_t
+    calls = {"kummer_m": 0, "kummer_u": 0, "kummer_pair": 0}
 
     def counted(name):
         fn = getattr(special_core, name)
@@ -192,11 +193,12 @@ def test_work_per_point(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(special_core, name, counted(name))
-    for ctx in (HARDWARE, extended(30)):
+    for ctx, kummer_calls in ((HARDWARE, 2), (extended(30), 0)):
         for kappa, x_half, y_half in ((0.3, 4.2, 1.1), (-1.7, 9.5, 0.02), (2.6, 20.0, 6.0)):
-            calls.update(kummer_m=0, kummer_u=0)
+            calls.update(kummer_m=0, kummer_u=0, kummer_pair=0)
             hostler_bracket(ctx.convert(kappa), ctx.convert(x_half), ctx.convert(y_half), ctx)
-            assert calls == {"kummer_m": 2, "kummer_u": 2}, (kappa, ctx.kind)
+            assert calls == {"kummer_m": kummer_calls, "kummer_u": kummer_calls,
+                             "kummer_pair": 2}, (kappa, ctx.kind)
 
     direct_orders = []
 
@@ -403,3 +405,83 @@ def test_pi_terms_carry_a_complex_order_at_extended_precision():
                    / (mpmath.rf(ell + 2 * m, ell) * mpmath.factorial(ell))
                    * mpmath.whitm(k, m + ell, r0) * mpmath.whitw(k, m + ell, r))
             assert _gap(value, ref) < 1e-47, ell
+
+
+# --- the W seeds from one Kummer pair, and the real steps ----------------------
+
+@pytest.mark.parametrize("kappa, mu", [(0.3, 0.5), (-1.7, 1.5), (2.3, 0.5),
+                                       (complex(0.4, -0.9), 0.5), (complex(-1.2, 0.6), 2.5)])
+def test_w_seeds_satisfy_the_contiguous_relation(kappa, mu):
+    # W_{k,mu+1} = W_{k,mu} + (2mu+1) e^{-z/2} z^{mu+1/2} U(a+1, b+1, z):
+    # the ratio less one against mpmath's whitw at 80 digits
+    ctx = extended(50)
+    for z in (0.4, 3.0, 17.0):
+        w, step = special_core.whittaker_w_seeds((kappa, mu), z, ctx=ctx)
+        with mpmath.workdps(80):
+            k, m = mpmath.mpmathify(kappa), mpmath.mpf(mu)
+            w0, w1 = mpmath.whitw(k, m, z), mpmath.whitw(k, m + 1, z)
+            assert _gap(w, w0) < 1e-48, z
+            assert abs(step - (w1 / w0 - 1)) < 1e-48 * abs(w1 / w0), z
+
+
+# W_{2.3,3/2} vanishes at z ~= 1.688134: there W_1/W_0 = 1 + s cancels all the
+# bits of s, and the ladder evaluates W_1 directly.  A ratio is a fixed-point
+# number, so it is held to the working precision relative to 1 where it is
+# below 1
+W1_ZERO = (2.3, 1.688134022459946)
+
+
+@pytest.mark.parametrize("kappa, z", [(2.3, 3.0), (complex(0.4, -0.9), 3.0), W1_ZERO,
+                                      (complex(2.3, 1e-9), W1_ZERO[1])])
+def test_w_ladder_seed_ratio_keeps_the_working_precision(monkeypatch, kappa, z):
+    direct = []
+
+    def counted(order, r, ctx=None):
+        direct.append(order)
+        return whittaker_w(order, r, ctx=ctx)
+
+    monkeypatch.setattr(identities, "whittaker_w", counted)
+    ctx = extended(50)
+    wp = ctx.prec + identities.LADDER_GUARD_BITS
+    k, mu0, zz = ctx.convert(kappa), ctx.convert(0.5), ctx.convert(z)
+    seed, ratios = identities._fixed_ladder("W", k, mu0, zz, ctx, wp)
+    sigma = ctx.from_fixed(*next(ratios), wp)
+    with mpmath.workdps(60):  # whitw costs seconds at 80 digits next to its zero
+        kk = mpmath.mpmathify(kappa)
+        want = mpmath.whitw(kk, 1.5, z) / mpmath.whitw(kk, 0.5, z)
+        assert abs(sigma - want) < 1e-48 * max(1, abs(want))
+    assert len(direct) == ((kappa, z) in (W1_ZERO, (complex(2.3, 1e-9), W1_ZERO[1])))
+
+
+@pytest.mark.parametrize("kappa, mus, radii, with_ws", [
+    case for case in TERM_CASES if not isinstance(case[0], complex)],
+    ids=[str(case[0]) for case in TERM_CASES if not isinstance(case[0], complex)])
+def test_real_term_steps_are_the_complex_steps(kappa, mus, radii, with_ws):
+    # every real input, once as it is and once with kappa an mpc of zero
+    # imaginary part: the real steps drop only products with an exact zero
+    # factor, so the terms are the same numbers, guarded W steps included
+    ctx = extended(50)
+    for mu, with_w, first, x, (r0, r) in itertools.product(
+            [m for m in mus if not isinstance(m, complex)], with_ws, (0, 1), TERM_COSINES,
+            radii):
+        runs = []
+        for k in (ctx.convert(kappa), ctx.convert(complex(kappa, 0.0))):
+            scale = 1 / (ctx.convert(r) * ctx.convert(r0))
+            runs.append(list(itertools.islice(identities._fixed_terms(
+                k, ctx.convert(mu), ctx.convert(x), scale, ctx.convert(r0),
+                ctx.convert(r) if with_w else None, first, ctx), 40)))
+        real, cplx = runs
+        assert all(getattr(t, "_mpc_", None) is None for t in real)
+        assert [c.imag for c in cplx] == [0] * len(cplx)
+        assert real == [c.real for c in cplx], (kappa, mu, with_w, first, x, r0, r)
+    # the terms round to the context; the ladders' own integers agree too
+    wp = ctx.prec + identities.LADDER_GUARD_BITS
+    for kind, mu, (r0, r) in itertools.product(
+            "MW", [m for m in mus if not isinstance(m, complex)], radii):
+        if kind == "W" and True not in with_ws:
+            continue
+        z = ctx.convert(r0 if kind == "M" else r)
+        runs = [list(itertools.islice(identities._fixed_ladder(
+            kind, k, ctx.convert(mu), z, ctx, wp)[1], 40))
+            for k in (ctx.convert(kappa), ctx.convert(complex(kappa, 0.0)))]
+        assert runs[0] == runs[1], (kind, kappa, mu, r0, r)

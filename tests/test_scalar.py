@@ -1,6 +1,7 @@
 """Precision contexts: conversion, branch choices, escalation."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -343,6 +344,21 @@ def test_hardware_gamma_family_complex_against_mpmath(name, re, im):
     if name == "loggamma" and im == 0 and re <= 0:
         # a real x <= 0 has a complex log Gamma, on the side Im z = +0
         _check_against_mpmath(name, complex(re, 0.0), HARDWARE.loggamma(re))
+
+
+def test_hardware_loggamma_near_its_zeros():
+    # 3000 points of |Re z|, |Im z| <= 3 and one next to z = 2, where log
+    # Gamma passes through its zeros at 1 and 2: within 20 units of 2^-52 of
+    # mpmath relative to max(1, |log Gamma|), as scipy's loggamma stays
+    rng = random.Random(4)
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3000)]
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z in points + [complex(1.9995, 0.0063)]:
+            want = mpmath.loggamma(mpmath.mpc(z))
+            err = abs(mpmath.mpc(HARDWARE.loggamma(z)) - want) / max(1, abs(want))
+            worst = max(worst, float(err) / 2.0 ** -52)
+    assert worst <= 20, worst
 
 
 @pytest.mark.parametrize("name", GAMMA_FAMILY)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from helpers import assert_rel, rel
@@ -197,13 +198,34 @@ def test_sum_series_stops_where_the_window_rescan_stops(stream, opts):
 
 class _Accumulator:
     """The compensated accumulator sum_series used as a separate object,
-    kept as the oracle of the accumulation now folded into its loop."""
+    kept as the oracle of the accumulation now folded into its loop.  On an
+    extended context it holds the exact sum of the finite terms, each cut
+    with Fractions to the binary scale 2^-e that the first nonzero term sets
+    (its exponent less the precision and SUM_GUARD_BITS), and adds the
+    non-finite terms apart in the context."""
 
     def __init__(self, ctx):
+        self.ctx = ctx
         self.compensate = ctx.kind == "hardware"
-        self.total = 0.0 if self.compensate else ctx.convert(0)
+        self.total = 0.0
         self._c_re = 0.0
         self._c_im = 0.0
+        self._exact = [0, None]  # the cut real and imaginary sums times 2^e
+        self._e = self._special = None
+
+    def _add_exact(self, term):
+        ctx = self.ctx
+        if not ctx.isfinite(term):
+            self._special = term if self._special is None else self._special + term
+            return
+        if self._e is None and term:
+            self._e = ctx.prec + summation.SUM_GUARD_BITS - ctx.exponent(term)
+        scale = Fraction(2) ** (self._e or 0)
+        parts = [term] if getattr(term, "_mpc_", None) is None else [term.real, term.imag]
+        for i, part in enumerate(parts):
+            sign, man, exp, _ = part._mpf_
+            cut = math.floor(Fraction((-1) ** sign * int(man)) * Fraction(2) ** int(exp) * scale)
+            self._exact[i] = cut if self._exact[i] is None else self._exact[i] + cut
 
     @staticmethod
     def _neumaier(s, c, t):
@@ -216,7 +238,7 @@ class _Accumulator:
 
     def add(self, term):
         if not self.compensate:
-            self.total = self.total + term
+            self._add_exact(term)
             return
         if isinstance(term, complex) or isinstance(self.total, complex):
             tr = complex(self.total)
@@ -228,7 +250,8 @@ class _Accumulator:
 
     def value(self):
         if not self.compensate:
-            return self.total
+            value = self.ctx.from_fixed(*self._exact, self._e or 0)
+            return value if self._special is None else value + self._special
         if isinstance(self.total, complex):
             return self.total + complex(self._c_re, self._c_im)
         return self.total + self._c_re
@@ -392,3 +415,25 @@ def test_mu_large_term_surrogate_drop_point():
     vals = {l: float(mu_large_term_surrogate(1.0, 20.0, 1.0, 2.0, l)) for l in range(150, 181)}
     first = min(l for l, v in vals.items() if v < 0.1)
     assert first == 168
+
+
+@pytest.mark.parametrize("stream", [
+    # cancelling: |value| ~ 2e-9 against sum |t| ~ 5e8
+    lambda ctx: [ctx.convert(-20) ** n / math.factorial(n) for n in range(200)],
+    # growing a hundredfold, then decaying
+    lambda ctx: [ctx.convert(7) ** n / math.factorial(n) * (n + ctx.pi) for n in range(200)],
+    # exact zeros before, between and after the nonzero terms
+    lambda ctx: [ctx.convert(0) if n < 3 or n % 3 == 1 else ctx.convert(n) ** -30
+                 for n in range(200)],
+])
+def test_extended_sum_is_the_exact_sum_rounded_once(stream):
+    # the terms a sum took against mpmath's fsum of the same terms at twice
+    # the precision: within two units of the value's last working bit, where
+    # an mpf running sum loses the bits its partial sums cancel
+    opts = SeriesOptions(rel_tol=1e-55, precision=("extended", 50))
+    ctx = context_for(opts)
+    terms = stream(ctx)
+    out = sum_series(terms, opts)
+    with mpmath.workdps(100):
+        exact = mpmath.fsum(terms[:out.n_terms])
+        assert abs(out.value - exact) <= 2 * mpmath.mpf(2) ** -ctx.prec * abs(exact)
